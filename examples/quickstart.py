@@ -62,11 +62,11 @@ def main() -> None:
     )
 
     # ---- RAM-model sorting (§3) ---------------------------------------- #
-    from repro import sort_ram
+    from repro import ram_sort_report
 
     rows = []
     for alg in ("bst-rb", "heapsort"):
-        rep = sort_ram(data, algorithm=alg)
+        rep = ram_sort_report(data, algorithm=alg)
         rows.append(
             {
                 "algorithm": alg,

@@ -20,8 +20,8 @@ Quickstart
 True
 """
 
-from .api import SortReport, sort_auto, sort_external, sort_ram
-from .engine import EXTERNAL_SORTS, SortEngine, StreamSession
+from .api import SortReport
+from .engine import EXTERNAL_SORTS, SortEngine, StreamSession, ram_sort_report
 from .core import (
     AEMPriorityQueue,
     BufferTree,
@@ -53,7 +53,6 @@ from .planner import (
     calibrate,
     plan_sort,
     rank_plans,
-    run_batch,
 )
 from .service import (
     EngineServer,
@@ -114,12 +113,9 @@ __all__ = [
     "get_default_kernel",
     "kernel_mode",
     "plan_sort",
+    "ram_sort_report",
     "rank_plans",
-    "run_batch",
     "selection_sort",
     "set_default_kernel",
-    "sort_auto",
-    "sort_external",
-    "sort_ram",
     "__version__",
 ]

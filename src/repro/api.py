@@ -1,20 +1,16 @@
-"""High-level façade: one call to sort under a chosen model + algorithm,
-returning both the output and a cost report.
+"""The :class:`SortReport` every sort entry point returns: the output plus
+its cost counters.
 
-Since the :class:`~repro.engine.SortEngine` redesign, the canonical entry
-point is an engine instance — ``SortEngine(params).sort(...)`` /
-``.batch(...)`` / ``.calibrate()`` / ``.stream()`` — which owns the machine,
-the shared plan cache and the calibrated constants once.  The module-level
-calls below are kept as thin backward-compatible shims over a throwaway
-engine (identical reports, no shared state between calls); the individual
-algorithm modules remain available for fine-grained control.  For
-asynchronous submission (futures, priorities, the persistent job server),
-see :mod:`repro.service`.
+The entry point itself is a :class:`~repro.engine.SortEngine` instance —
+``SortEngine(params).sort(...)`` / ``.batch(...)`` / ``.calibrate()`` /
+``.stream()`` — which owns the machine, the shared plan cache and the
+calibrated constants once.  The machine-free §3 element-granularity model is
+:func:`repro.engine.ram_sort_report`.  For asynchronous submission (futures,
+priorities, the persistent job server), see :mod:`repro.service`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .models.counters import CostCounter
@@ -78,102 +74,3 @@ class SortReport:
         return all(
             self.output[i] <= self.output[i + 1] for i in range(len(self.output) - 1)
         )
-
-
-def sort_external(
-    data: Sequence,
-    params: MachineParams,
-    algorithm: str = "mergesort",
-    k: int | None = None,
-) -> SortReport:
-    """Sort ``data`` on a fresh AEM machine (shim over
-    :meth:`~repro.engine.SortEngine.sort`).
-
-    Parameters
-    ----------
-    algorithm:
-        ``"mergesort"`` (Algorithm 2), ``"samplesort"`` (§4.2), ``"heapsort"``
-        (§4.3 buffer-tree priority queue), or ``"selection"`` (Lemma 4.2) —
-        the :data:`~repro.engine.EXTERNAL_SORTS` registry.
-    k:
-        Extra branching factor (ignored by ``"selection"``, which has none).
-        Defaults to the Appendix-A recipe
-        :func:`repro.analysis.ktuning.choose_k` evaluated at ``n = len(data)``
-        (``k = 1`` is the classic algorithm).
-
-    Returns a :class:`SortReport` with block-level counts.
-    """
-    from .engine import SortEngine
-
-    return SortEngine(params).sort(data, algorithm=algorithm, k=k)
-
-
-def sort_ram(data: Sequence, algorithm: str = "bst-rb") -> SortReport:
-    """Sort ``data`` in the Asymmetric RAM model (§3); shim over
-    :func:`repro.engine.ram_sort_report`.
-
-    ``algorithm`` is one of :data:`repro.core.ram_sort.RAM_SORTS`
-    (``bst-rb``, ``bst-treap``, ``bst-avl``, ``quicksort``, ``mergesort``,
-    ``heapsort``).
-    """
-    from .engine import ram_sort_report
-
-    return ram_sort_report(data, algorithm=algorithm)
-
-
-def sort_auto(
-    data: Sequence,
-    params: MachineParams,
-    algorithms: tuple[str, ...] | None = None,
-    constants=None,
-    cache=None,
-    ram_algorithm: str = "bst-rb",
-) -> SortReport:
-    """Sort ``data`` with the cost-model-chosen best algorithm (shim over
-    :meth:`~repro.engine.SortEngine.sort` with ``algorithm="auto"``).
-
-    Builds a ranked :class:`~repro.planner.cost_model.SortPlan` from the
-    paper's exact predicted bounds (Theorems 4.3/4.5/4.10, Lemma 4.2, and the
-    in-memory case when ``n <= M``) and executes the winner: external
-    algorithms run at the plan's branching factor ``k``; the ``ram`` plan
-    runs in primary memory (``ram_algorithm`` picks the
-    :data:`~repro.core.ram_sort.RAM_SORTS` entry, default the §3 BST sort).
-
-    The returned report carries the full plan in ``extras["plan"]`` (chosen
-    candidate plus the ranked alternatives) so callers can audit the routing
-    decision.  ``algorithms`` optionally restricts the candidate field;
-    ``constants`` (a :class:`~repro.planner.calibration.CostConstants`)
-    replaces the unit leading constants with calibrated ones; ``cache`` (a
-    :class:`~repro.planner.plan_cache.PlanCache`) memoises the ranking across
-    calls.
-    """
-    from .engine import SortEngine
-
-    engine = SortEngine(params, constants=constants, cache=cache)
-    return engine.sort(
-        data, algorithm="auto", algorithms=algorithms, ram_algorithm=ram_algorithm
-    )
-
-
-def ram_report_on_machine(
-    data: Sequence, params: MachineParams, algorithm: str = "bst-rb"
-) -> SortReport:
-    """Run an in-memory sort on an input that fits in primary memory,
-    reported at the AEM machine's *block* granularity (shim over
-    :func:`repro.engine.ram_on_machine_report`).
-
-    The AEM cost of the in-memory plan is its transfer cost — one scan in
-    (``ceil(n/B)`` block reads), sort for free in primary memory, one stream
-    out (``ceil(n/B)`` block writes) — so the report is commensurable with
-    external-sort reports and with the planner's predictions (the in-memory
-    element tallies stay visible on ``report.counter``).  ``algorithm``
-    selects any :data:`~repro.core.ram_sort.RAM_SORTS` entry (default the
-    §3 BST sort).
-
-    Raises ``ValueError`` when ``n > M`` — the input would not fit in primary
-    memory, exactly as :func:`repro.planner.cost_model.predict_candidate`
-    rejects the ``ram`` plan for such an ``n``.
-    """
-    from .engine import ram_on_machine_report
-
-    return ram_on_machine_report(data, params, algorithm=algorithm)

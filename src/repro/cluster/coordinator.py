@@ -44,10 +44,10 @@ from ..core.shard_merge import shard_merge
 from ..models.external_memory import AEMachine, MemoryGuard
 from ..models.params import MachineParams
 from ..planner.cost_model import plan_cluster_shards
-from ..planner.sharding import WorkerDiedError
 from ..service.backoff import backoff_delay
 from ..service.scheduler import PRIORITY_CONTROL, QueueFullError
 from ..service.server import ServiceClient, ServiceError
+from ..service.workers import WorkerDiedError
 
 #: wire-level failures that mean "this host is gone" (vs a job-level error)
 _HOST_DOWN = (ConnectionError, OSError)
@@ -409,7 +409,35 @@ class ClusterCoordinator:
         handle.attempts += 1
 
     def gather(self, handles, timeout: float | None = None) -> list[dict]:
-        return [self.result(h, timeout) for h in handles]
+        """Results of ``handles``, in order.
+
+        The first handle that raises stops the gather; before the error
+        propagates, every handle after it is settled (see :meth:`_settle`)
+        so no in-flight count outlives the failed gather.
+        """
+        handles = list(handles)
+        records: list[dict] = []
+        try:
+            for h in handles:
+                records.append(self.result(h, timeout))
+        except BaseException:
+            # result() already released the handle that raised
+            self._settle(handles[len(records) + 1:])
+            raise
+        return records
+
+    def _settle(self, handles) -> None:
+        """Abandon ``handles``: cancel each remote ticket (best effort — it
+        may have finished, or its host may be gone) and release its
+        in-flight count, so a failed scatter cannot bias routing for good."""
+        for h in handles:
+            try:
+                self._clients[h.host_index].cancel(h.ticket)
+            except (ServiceError, *_HOST_DOWN):
+                pass
+            with self._lock:
+                if self._inflight[h.host_index] > 0:
+                    self._inflight[h.host_index] -= 1
 
     # ------------------------------------------------------------------ #
     # scatter-gather for one huge job
@@ -449,21 +477,25 @@ class ClusterCoordinator:
             shards[bisect.bisect_right(splitters, rec)].append(rec)
 
         # scatter: one shard per live host, preferring its planned host but
-        # falling back through _submit_once's routing when one is dead
-        handles = [
-            self._submit_once(
-                shard,
-                0,
-                {
-                    "algorithm": algorithm,
-                    "k": k,
-                    "label": f"{label}/shard{i}",
-                    "check_sorted": check_sorted,
-                },
-                prefer=host_index,
-            )
-            for i, (host_index, shard) in enumerate(zip(live, shards))
-        ]
+        # falling back through _submit_once's routing when one is dead; a
+        # refused shard settles the ones already submitted
+        handles: list[ClusterTicket] = []
+        try:
+            for i, (host_index, shard) in enumerate(zip(live, shards)):
+                handles.append(self._submit_once(
+                    shard,
+                    0,
+                    {
+                        "algorithm": algorithm,
+                        "k": k,
+                        "label": f"{label}/shard{i}",
+                        "check_sorted": check_sorted,
+                    },
+                    prefer=host_index,
+                ))
+        except BaseException:
+            self._settle(handles)
+            raise
         with self._lock:
             self._scatter_jobs += 1
 

@@ -34,8 +34,7 @@ The mode is deliberately a plain module global (not thread-local): the AEM
 machine is a single-threaded simulation, and benchmark harnesses flip the
 whole process between modes to measure the kernel layer itself.  A module
 global does not cross a ``fork``/``spawn`` on its own, so the process-pool
-executors ship the submitting process's default along explicitly —
-``run_sharded`` passes it to every ``execute_shard`` submission and the
+worker pool ships the submitting process's default along explicitly — the
 persistent-worker protocol carries it per job message — which keeps
 ``kernel_mode(...)`` A/B measurements honest under ``executor="process"``.
 """

@@ -1,10 +1,7 @@
 """The :class:`SortEngine` session façade: one object, every entry point.
 
-The public surface had grown call-by-call — ``sort_external`` / ``sort_ram``
-/ ``sort_auto`` / ``run_batch`` / ``calibrate`` each re-threaded ``params``,
-``constants=``, ``cache=`` and executor knobs — and none of them could accept
-records *incrementally*.  ``SortEngine`` is the canonical entry point that
-owns the configuration once:
+``SortEngine`` is the one sort and batch entry point.  It owns the
+configuration once:
 
 * one :class:`~repro.models.params.MachineParams` (the machine every call
   runs on unless a batch job pins its own),
@@ -40,11 +37,9 @@ Entry points
     ``close()`` — or partially via ``pop_min(m)`` (top-m extraction without
     a full flush).
 
-The legacy module-level calls (``sort_external`` & co. in :mod:`repro.api`,
-``run_batch`` in :mod:`repro.planner.batch`) are thin backward-compatible
-shims over a throwaway engine instance.  The asynchronous
-submission surface (futures, priorities, the socket server) lives in
-:mod:`repro.service`.
+The machine-free §3 element-granularity model is :func:`ram_sort_report`.
+The asynchronous submission surface (futures, priorities, the socket
+server) lives in :mod:`repro.service`.
 
 Uniform external-sort registry
 ------------------------------
@@ -124,7 +119,7 @@ EXTERNAL_SORTS: dict[str, ExternalSortSpec] = {
 
 
 # ---------------------------------------------------------------------- #
-# machine-independent report builders (shared by the engine and the shims)
+# machine-independent report builders
 # ---------------------------------------------------------------------- #
 def external_sort_report(
     data: Sequence,
@@ -410,12 +405,11 @@ class SortEngine:
     ):
         """Execute many jobs through the engine's cache and constants.
 
-        Since the service redesign this is ``submit_many`` + ``gather`` on
-        the engine's persistent :meth:`service` pool — the call signature
-        and the :class:`~repro.planner.batch.BatchReport` it returns are
-        unchanged (parity-tested against the one-shot
-        :func:`~repro.planner.batch.execute_batch` reference), but the
-        worker pool now survives across calls.
+        This is ``submit_many`` + ``gather`` on the engine's persistent
+        :meth:`service` pool, which survives across calls.  The
+        :class:`~repro.planner.batch.BatchReport` holds, in submission
+        order, exactly the reports (and failures) that one :meth:`sort`
+        call per job would produce.
 
         ``jobs`` items are :class:`~repro.planner.batch.SortJob`\\ s (a bare
         data sequence is wrapped into an adaptive job on the engine's
@@ -444,11 +438,7 @@ class SortEngine:
         # behind on a long-lived engine
         svc = self.service(executor=executor, workers=workers, warm_cache=warm_cache)
         t0 = _time.perf_counter()
-        # round-robin pinning in process mode reproduces the historical
-        # shard deal exactly (per-worker caches see the same job streams)
-        futures = svc.submit_many(
-            jobs, check_sorted=check_sorted, round_robin=(executor == "process")
-        )
+        futures = svc.submit_many(jobs, check_sorted=check_sorted)
         report = svc.gather(futures)
         report.wall_seconds = _time.perf_counter() - t0
         return report

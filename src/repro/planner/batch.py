@@ -1,44 +1,28 @@
-"""Batch execution: plan → execute over ``concurrent.futures``.
+"""Batch jobs and their aggregated report.
 
-Production traffic is many sort requests, not one; this module runs a list of
-:class:`SortJob`\\ s concurrently and aggregates the per-job
-:class:`~repro.api.SortReport`\\ s into a :class:`BatchReport` throughput
-summary (jobs/s, records/s, total asymmetric I/O cost, per-family mix).
+Production traffic is many sort requests, not one.  This module holds the
+plain-data types a batch is made of — :class:`SortJob` in,
+:class:`BatchReport` out (jobs/s, records/s, total asymmetric I/O cost,
+per-family mix) — and :func:`execute_and_check`, the per-job semantics every
+executor runs.  Execution itself belongs to the persistent
+:class:`repro.service.SortService` pool behind
+:meth:`repro.engine.SortEngine.batch`.
 
-Jobs default to adaptive planning (:func:`repro.api.sort_auto`); a job may
-pin ``algorithm`` (and ``k``) to force a specific strategy.  One failing job
-does not abort the batch — failures are captured per job and reported.
-
-Two executors are available:
-
-* ``executor="thread"`` — a shared :class:`ThreadPoolExecutor`.  The simulated
-  machines are independent (one
-  :class:`~repro.models.external_memory.AEMachine` per job, no shared
-  counters) so jobs are trivially parallelisable, but under CPython the GIL
-  serialises the pure-Python simulation work: fine for *model* costs, no
-  wall-clock scaling.
-* ``executor="process"`` — jobs are partitioned into shards, each shard runs
-  in its own worker process (one machine per job, one
-  :class:`~repro.planner.plan_cache.PlanCache` per shard) and the per-shard
-  :class:`BatchReport`\\ s are merged back in submission order
-  (:mod:`~repro.planner.sharding`).  This is the CPU-bound scale-out path:
-  wall-clock throughput grows with cores.
+Jobs default to adaptive planning (``SortEngine.sort(data,
+algorithm="auto")``); a job may pin ``algorithm`` (and ``k``) to force a
+specific strategy.  One failing job does not abort the batch — failures are
+captured per job and reported.
 
 Model-level aggregates (reads / writes / cost) are executor-independent:
-both paths run the identical per-job simulation, only the scheduling
-differs.
-
-Adaptive planning is memoised through a :class:`PlanCache` (plans are pure
-functions of ``(n, machine, constants)``); the batch summary surfaces the
-hit/miss counts so cache effectiveness is visible per run.
+thread and process workers run the identical per-job simulation, only the
+scheduling differs.  Adaptive planning is memoised through a
+:class:`PlanCache`; the batch summary surfaces the hit/miss counts so cache
+effectiveness is visible per run.
 """
-
 from __future__ import annotations
 
-import time
 from collections import Counter
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ..models.params import MachineParams
@@ -54,8 +38,8 @@ class SortJob:
     cleanly across the process-pool boundary.
 
     ``params`` may be left ``None`` when the job runs through
-    :meth:`~repro.engine.SortEngine.batch`, which fills in the engine's
-    machine; the module-level :func:`run_batch` requires it.
+    :meth:`~repro.engine.SortEngine.batch` or a
+    :class:`~repro.service.SortService`, which fill in their machine.
     """
 
     data: Sequence
@@ -86,13 +70,13 @@ class BatchReport:
     wall_seconds: float = 0.0
     #: which backend ran the batch (``"thread"`` or ``"process"``)
     executor: str = "thread"
-    #: plan-cache effectiveness over the batch (summed across shards in
+    #: plan-cache effectiveness over the batch (summed across workers in
     #: process mode); pinned jobs never consult the cache
     plan_hits: int = 0
     plan_misses: int = 0
-    #: per-shard (hits, misses) pairs in shard order — populated by the
-    #: process executor (each shard/worker owns its cache), empty in thread
-    #: mode where one shared cache already tells the whole story
+    #: per-worker (hits, misses) pairs in worker order — populated by the
+    #: process executor (each worker owns its cache), empty in thread mode
+    #: where one shared cache already tells the whole story
     shard_plan_stats: list = field(default_factory=list)
 
     # ------------------------------------------------------------------ #
@@ -197,143 +181,8 @@ def execute_and_check(
 ):
     """The per-job semantics shared by BOTH executors: run the job, enforce
     ``check_sorted``, raise on any problem (the caller records the
-    :class:`JobFailure`).  Thread and process backends must not diverge here."""
+    :class:`JobFailure`).  Thread and process workers must not diverge here."""
     rep = _execute_job(job, cache=cache, constants=constants)
     if check_sorted and not rep.is_sorted():
         raise AssertionError(f"job {index} ({job.label!r}) output not sorted")
     return rep
-
-
-def execute_batch(
-    jobs: Sequence[SortJob],
-    max_workers: int | None = None,
-    check_sorted: bool = False,
-    executor: str = "thread",
-    plan_cache: PlanCache | None = None,
-    constants=None,
-    warm_cache=None,
-) -> BatchReport:
-    """Execute ``jobs`` concurrently and aggregate their reports — the
-    one-shot orchestration core.
-
-    Since the :class:`repro.service.SortService` redesign this is the
-    *reference* batch path: :meth:`~repro.engine.SortEngine.batch` (and the
-    legacy :func:`run_batch` shim) now submit through a persistent service
-    pool and are parity-tested against the reports this function produces.
-
-    Parameters
-    ----------
-    max_workers:
-        Pool width.  Thread mode defaults to ``min(8, len(jobs))``; process
-        mode defaults to one shard per CPU core (capped at the job count).
-    check_sorted:
-        Verify every output is sorted (costs an extra O(n) pass per job);
-        a violation is recorded as that job's failure.
-    executor:
-        ``"thread"`` (GIL-bound, zero start-up cost) or ``"process"``
-        (sharded across worker processes for real multi-core scaling).
-    plan_cache:
-        Memoisation table for adaptive planning.  Thread mode shares it
-        across workers (one is created internally when ``None``); process
-        mode builds one cache per shard instead — a cross-process shared
-        cache would serialise the very work the shards parallelise — and a
-        caller-supplied cache is ignored there.
-    constants:
-        Optional :class:`~repro.planner.calibration.CostConstants` so
-        adaptive jobs rank with calibrated rather than unit leading
-        constants.
-    warm_cache:
-        A :class:`PlanCache` (or its :meth:`~PlanCache.snapshot` entries) to
-        pre-seed planning with: thread mode seeds the shared cache, process
-        mode seeds every shard's local cache so shards start with the
-        parent's hot entries instead of cold-ranking per shard.
-    """
-    if executor not in ("thread", "process"):
-        raise ValueError(f"unknown executor {executor!r}; choose 'thread' or 'process'")
-    if max_workers is not None and max_workers < 1:
-        raise ValueError(f"max_workers must be >= 1 or None, got {max_workers}")
-    if not jobs:
-        return BatchReport(executor=executor)
-    if isinstance(warm_cache, PlanCache):
-        warm_cache = warm_cache.snapshot()
-    t0 = time.perf_counter()
-    if executor == "process":
-        from .sharding import run_sharded
-
-        report = run_sharded(
-            jobs,
-            num_shards=max_workers,
-            check_sorted=check_sorted,
-            constants=constants,
-            warm_entries=warm_cache,
-        )
-    else:
-        report = BatchReport(executor="thread")
-        cache = plan_cache if plan_cache is not None else PlanCache()
-        if warm_cache:
-            cache.seed(warm_cache)
-        # delta stats: a caller-supplied cache may be warm from earlier batches
-        hits0, misses0 = cache.hits, cache.misses
-        if max_workers is None:
-            max_workers = min(8, len(jobs))
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [
-                pool.submit(execute_and_check, i, job, cache, constants, check_sorted)
-                for i, job in enumerate(jobs)
-            ]
-            for i, (job, fut) in enumerate(zip(jobs, futures)):
-                try:
-                    report.reports.append(fut.result())
-                except Exception as exc:  # noqa: BLE001 — captured per job by design
-                    report.failures.append(JobFailure(index=i, label=job.label, error=exc))
-        report.plan_hits = cache.hits - hits0
-        report.plan_misses = cache.misses - misses0
-    report.wall_seconds = time.perf_counter() - t0
-    return report
-
-
-def run_batch(
-    jobs: Sequence[SortJob],
-    max_workers: int | None = None,
-    check_sorted: bool = False,
-    executor: str = "thread",
-    plan_cache: PlanCache | None = None,
-    constants=None,
-    warm_cache=None,
-) -> BatchReport:
-    """Backward-compatible shim: build a throwaway
-    :class:`~repro.engine.SortEngine` and run ``jobs`` through
-    :meth:`~repro.engine.SortEngine.batch` (which submits through a
-    :class:`~repro.service.SortService` pool and gathers the futures).
-
-    Every job must carry its own ``params`` here (the engine default used to
-    fill in ``params=None`` jobs is taken from the first job's machine).
-    ``warm_cache`` pre-seeds the batch's planning (per-shard in process
-    mode) with a parent cache's hot entries.  Prefer a long-lived engine —
-    or a :class:`~repro.service.SortService` directly — when issuing many
-    batches: both keep the worker pool, one plan cache and one set of
-    calibrated constants alive across all of them, where this shim tears
-    everything down per call.
-    """
-    if executor not in ("thread", "process"):
-        raise ValueError(f"unknown executor {executor!r}; choose 'thread' or 'process'")
-    if max_workers is not None and max_workers < 1:
-        raise ValueError(f"max_workers must be >= 1 or None, got {max_workers}")
-    if not jobs:
-        return BatchReport(executor=executor)
-    from ..engine import SortEngine
-
-    anchor = next((job.params for job in jobs if job.params is not None), None)
-    if anchor is None:
-        raise ValueError("run_batch requires at least one job with machine params")
-    engine = SortEngine(
-        anchor,
-        constants=constants,
-        cache=plan_cache,
-        executor=executor,
-        workers=max_workers,
-    )
-    try:
-        return engine.batch(jobs, check_sorted=check_sorted, warm_cache=warm_cache)
-    finally:
-        engine.close()

@@ -15,8 +15,8 @@ least squares through the origin
 
 and packages the result as an immutable :class:`CostConstants` that
 :func:`~repro.planner.cost_model.predict_candidate` (and everything above it:
-``rank_plans`` / ``plan_sort`` / ``sort_auto`` / ``run_batch``) accepts via
-the optional ``constants=`` parameter.  Unlisted families fall back to the
+``rank_plans`` / ``plan_sort`` / ``SortEngine.sort`` / ``SortEngine.batch``)
+accepts via the optional ``constants=`` parameter.  Unlisted families fall back to the
 unit constant, so a partially-fitted table is always safe to use.
 
 ``CostConstants`` is hashable (a frozen tuple of entries), which lets it
@@ -192,10 +192,10 @@ def fit_constants(samples: Sequence[CalibrationSample]) -> CostConstants:
 
     mapping: dict[str, tuple[float, float]] = {}
     for family, group in by_family.items():
-        cr = _ls_through_origin(
+        cr = ls_through_origin(
             [(s.measured_reads, s.predicted_reads) for s in group]
         )
-        cw = _ls_through_origin(
+        cw = ls_through_origin(
             [(s.measured_writes, s.predicted_writes) for s in group]
         )
         mapping[family] = (cr, cw)
@@ -215,10 +215,6 @@ def ls_through_origin(pairs: Sequence[tuple[float, float]]) -> float:
     if den == 0 or num <= 0:
         return 1.0
     return num / den
-
-
-#: historical private name, kept for callers predating the certifier
-_ls_through_origin = ls_through_origin
 
 
 def calibrate(

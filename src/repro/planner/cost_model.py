@@ -14,8 +14,8 @@ closed forms the experiments verify as hard upper bounds):
   writes (no branching parameter);
 * **ram** — when ``n <= M`` the input fits in primary memory: one scan in
   (``ceil(n/B)`` reads), sort for free in memory, one stream out
-  (``ceil(n/B)`` writes).  Executed via :func:`repro.api.sort_ram` with the
-  paper's §3 BST sort (O(n log n) element reads, O(n) element writes).
+  (``ceil(n/B)`` writes).  Executed via
+  :func:`repro.engine.ram_on_machine_report` with the paper's §3 BST sort (O(n log n) element reads, O(n) element writes).
 
 Each ``k``-parameterised algorithm is entered with its own best branching
 factor: the planner scans the Corollary 4.4 feasible region (``k = 1``, the
@@ -77,7 +77,8 @@ class PlanCandidate:
     predicted_writes: float
     #: ``predicted_reads + omega * predicted_writes``
     predicted_cost: float
-    #: ``"aem"`` (executed by :func:`repro.api.sort_external`) or ``"ram"``
+    #: ``"aem"`` (executed by :func:`repro.engine.external_sort_report`) or
+    #: ``"ram"``
     model: str
 
     def as_dict(self) -> dict:

@@ -6,8 +6,8 @@ A :class:`~repro.planner.cost_model.SortPlan` is a pure function of
 combinations constantly (the CLI driver draws job sizes from a small range,
 production traffic clusters around popular request shapes), so re-ranking per
 job is pure waste.  :class:`PlanCache` memoises the ranking behind a lock
-(safe to share across the thread executor; the process executor builds one
-per shard) and counts hits/misses so :meth:`~repro.planner.batch.BatchReport.summary`
+(safe to share across the thread executor; each process worker builds its
+own) and counts hits/misses so :meth:`~repro.planner.batch.BatchReport.summary`
 can surface cache effectiveness per batch.
 
 Entries are evicted LRU when ``maxsize`` is set; the default is unbounded,
@@ -121,7 +121,7 @@ class PlanCache:
         """Install pre-computed ``(key, plan)`` entries (or copy another
         :class:`PlanCache`) without touching the hit/miss counters.
 
-        Seeding is how process shards start warm: the parent snapshots its
+        Seeding is how process workers start warm: the parent snapshots its
         hot cache and each worker seeds a fresh one before its first job.
         Later entries win the LRU position; ``maxsize`` is respected.
         Returns the number of *new* keys installed.

@@ -13,14 +13,15 @@ persistent, heavily-trafficked deployment needs:
   worker-death isolation and respawn);
 * :mod:`~repro.service.server` — ``python -m repro serve``: the
   newline-delimited-JSON line protocol over a local socket, plus
-  :class:`ServiceClient` for Python callers.
+  :class:`ServiceClient` for Python callers;
+* :mod:`~repro.service.workers` — the persistent worker processes behind
+  ``executor="process"`` and :class:`WorkerDiedError`.
 
-``engine.batch()`` and the legacy ``run_batch`` shim are thin clients of
-this layer (``submit_many`` + ``gather``), parity-tested against the
-one-shot :func:`~repro.planner.batch.execute_batch` reference.
+``engine.batch()`` is a thin client of this layer (``submit_many`` +
+``gather``), parity-tested against a sequential loop of per-job
+``engine.sort`` calls.
 """
 
-from ..planner.sharding import WorkerDiedError
 from .backoff import Deadline, backoff_delay, backoff_delays
 from .futures import CANCELLED, FINISHED, PENDING, RUNNING, SortFuture, wait
 from .scheduler import (
@@ -31,6 +32,7 @@ from .scheduler import (
     default_pool_width,
 )
 from .server import EngineServer, ServiceClient, ServiceError
+from .workers import WorkerDiedError
 
 __all__ = [
     "ADMISSION_POLICIES",

@@ -12,23 +12,22 @@ turns the engine into a job service:
   within a priority — the submission ticket breaks ties), so latency-
   sensitive jobs overtake bulk backfill;
 * the worker pool is **persistent**: thread workers or long-lived worker
-  processes (:func:`repro.planner.sharding.spawn_persistent_worker`) that
+  processes (:func:`repro.service.workers.spawn_persistent_worker`) that
   survive across submissions instead of being rebuilt per batch call, each
   keeping its plan cache warm across jobs;
 * a worker process that dies (OOM kill, segfault) fails *only* its
   in-flight future with
-  :class:`~repro.planner.sharding.WorkerDiedError` — the service respawns
+  :class:`~repro.service.workers.WorkerDiedError` — the service respawns
   the worker and later submissions run normally;
 * :meth:`SortService.gather` folds a list of futures back into the familiar
   :class:`~repro.planner.batch.BatchReport`, which is how
-  :meth:`repro.engine.SortEngine.batch` (and the legacy ``run_batch`` shim)
-  are now expressed: ``submit_many`` + ``gather`` over a service the engine
-  keeps alive between calls.
+  :meth:`repro.engine.SortEngine.batch` is expressed: ``submit_many`` +
+  ``gather`` over a service the engine keeps alive between calls.
 
 Cost-model note: the *simulated* I/O accounting is unchanged — every job
 still runs :func:`repro.planner.batch.execute_and_check` on its own
-simulated machine.  The service only changes *scheduling*, which is why the
-batch shims can promise byte-identical reports.
+simulated machine.  The service only changes *scheduling*, which is why a
+batch's reports are byte-identical to per-job ``engine.sort`` calls.
 
 Admission control
 -----------------
@@ -69,14 +68,10 @@ from ..core.kernels import get_default_kernel
 from ..models.params import MachineParams
 from ..planner.batch import BatchReport, JobFailure, SortJob, execute_and_check
 from ..planner.plan_cache import PlanCache
-from ..planner.sharding import (
-    WorkerDiedError,
-    spawn_persistent_worker,
-    stop_persistent_worker,
-)
 from ..testing import faults
 from .backoff import Deadline
 from .futures import SortFuture
+from .workers import WorkerDiedError, spawn_persistent_worker, stop_persistent_worker
 
 #: priority used for internal control messages (cache seeding) — beats any
 #: caller priority so a warm() lands before jobs queued behind it
@@ -236,6 +231,7 @@ class SortService:
 
         self._cond = wrap_condition(threading.Condition(), "SortService._cond")
         self._shared: list = []  # heap of (priority, seq, entry)
+        # per-worker heaps, used only for warm()'s seed control messages
         self._pinned: list[list] = [[] for _ in range(workers)]
         self._pending_jobs = 0  # job entries currently queued (not control)
         self._seq = itertools.count()
@@ -300,17 +296,13 @@ class SortService:
         priority: float = 0,
         *,
         check_sorted: bool = False,
-        worker: int | None = None,
         admission_timeout: float | None = None,
     ) -> SortFuture:
         """Enqueue one job; return its :class:`SortFuture` immediately.
 
         ``job`` is a :class:`SortJob` or a bare data sequence (wrapped into
         an adaptive job on the service's machine).  ``priority``: lower
-        runs first, FIFO within equal priorities.  ``worker`` optionally
-        pins the job to one pool slot (used by the batch shims to reproduce
-        the historical round-robin sharding exactly; normal traffic should
-        leave it ``None`` and let any idle worker pull).
+        runs first, FIFO within equal priorities; any idle worker pulls it.
 
         With a bounded queue (``max_queue``), a full queue applies the
         service's admission policy — see the module docstring.
@@ -327,8 +319,6 @@ class SortService:
             isinstance(priority, float) and priority != priority
         ):
             raise TypeError(f"priority must be a real number, got {priority!r}")
-        if worker is not None and not (0 <= worker < self.workers):
-            raise ValueError(f"worker must be in [0, {self.workers}), got {worker}")
         victim: _Entry | None = None
         with self._cond:
             if self._shutdown:
@@ -338,8 +328,7 @@ class SortService:
             future = SortFuture(ticket, job=job, priority=priority)
             entry = _Entry(priority, next(self._seq), future=future, job=job,
                            check_sorted=check_sorted, index=ticket)
-            target = self._shared if worker is None else self._pinned[worker]
-            heapq.heappush(target, (entry.key(), entry))
+            heapq.heappush(self._shared, (entry.key(), entry))
             self._pending_jobs += 1
             self.submitted += 1
             self._cond.notify_all()
@@ -420,24 +409,17 @@ class SortService:
 
     def _shed_victim_locked(self, priority: float) -> _Entry | None:
         """Pop the lowest-priority pending job entry (highest key) from
-        whichever queue holds it, provided it ranks strictly below the
-        incoming ``priority``.  Caller holds the condition and cancels the
-        returned entry's future outside it."""
-        best_list = None
-        best_pos = -1
-        for lst in [self._shared, *self._pinned]:
-            for pos, (_key, entry) in enumerate(lst):
-                if entry.control is not None or entry.future is None:
-                    continue
-                if best_list is None or entry.key() > best_list[best_pos][1].key():
-                    best_list, best_pos = lst, pos
-        if best_list is None:
+        the shared queue, provided it ranks strictly below the incoming
+        ``priority``.  Caller holds the condition and cancels the returned
+        entry's future outside it."""
+        if not self._shared:
             return None
-        victim = best_list[best_pos][1]
+        pos = max(range(len(self._shared)), key=lambda i: self._shared[i][1].key())
+        victim = self._shared[pos][1]
         if not victim.priority > priority:
             return None
-        best_list.pop(best_pos)
-        heapq.heapify(best_list)
+        self._shared.pop(pos)
+        heapq.heapify(self._shared)
         # caller holds _cond (the _locked suffix is the contract)
         self._pending_jobs -= 1  # reprolint: disable=lock-discipline
         return victim
@@ -448,24 +430,9 @@ class SortService:
         priority: float = 0,
         *,
         check_sorted: bool = False,
-        round_robin: bool = False,
     ) -> list[SortFuture]:
-        """Submit a batch; return its futures in submission order.
-
-        ``round_robin=True`` pins job *i* to worker ``i % workers`` — the
-        deterministic deal the one-shot process executor used, which keeps
-        per-worker plan-cache behaviour (and therefore the shim parity
-        guarantees) identical to the pre-service sharding.
-        """
-        return [
-            self.submit(
-                job,
-                priority,
-                check_sorted=check_sorted,
-                worker=(i % self.workers) if round_robin else None,
-            )
-            for i, job in enumerate(jobs)
-        ]
+        """Submit a batch; return its futures in submission order."""
+        return [self.submit(job, priority, check_sorted=check_sorted) for job in jobs]
 
     def map(self, datasets: Iterable, priority: float = 0):
         """Sort many datasets; return an iterator of their
@@ -514,8 +481,8 @@ class SortService:
         """Wait for ``futures`` and fold them into a
         :class:`~repro.planner.batch.BatchReport` (reports in the given
         order, per-job failures captured, plan-cache stats aggregated —
-        per-worker in process mode, mirroring the per-shard stats of the
-        one-shot executor).
+        and broken down per worker in process mode, where each worker owns
+        its cache).
         """
         t0 = time.perf_counter()
         report = BatchReport(executor=self.executor)

@@ -21,6 +21,7 @@ def pytest_addoption(parser):
 
 
 def pytest_configure(config):
+    config.addinivalue_line("markers", "slow: a long-running test")
     if config.getoption("--iosan"):
         from repro.analysis import iosan
 

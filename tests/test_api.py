@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import CostCounter, MachineParams, SortReport, sort_external, sort_ram
+from repro import CostCounter, MachineParams, SortEngine, SortReport, ram_sort_report
 from repro.workloads import random_permutation
 
 PARAMS = MachineParams(M=64, B=8, omega=8)
@@ -12,14 +12,14 @@ class TestSortExternal:
     @pytest.mark.parametrize("alg", ["mergesort", "samplesort", "heapsort", "selection"])
     def test_algorithms(self, alg):
         data = random_permutation(800, seed=1)
-        rep = sort_external(data, PARAMS, algorithm=alg, k=2)
+        rep = SortEngine(PARAMS).sort(data, algorithm=alg, k=2)
         assert rep.is_sorted()
         assert rep.output == sorted(data)
         assert rep.n == 800
         assert rep.reads > 0 and rep.writes > 0
 
     def test_default_k_from_ktuning(self):
-        rep = sort_external(random_permutation(500, seed=2), PARAMS)
+        rep = SortEngine(PARAMS).sort(random_permutation(500, seed=2), "mergesort")
         assert rep.extras["k"] >= 1
         assert f"k={rep.extras['k']}" in rep.algorithm
 
@@ -30,48 +30,49 @@ class TestSortExternal:
         from repro.analysis.ktuning import choose_k
 
         for n in (500, 20_000):
-            rep = sort_external(random_permutation(n, seed=2), PARAMS)
+            rep = SortEngine(PARAMS).sort(random_permutation(n, seed=2), "mergesort")
             assert rep.extras["k"] == choose_k(PARAMS, n=n)
         # concrete values so a silent fallback to choose_k(params) regresses
         # loudly: the n-blind rule of thumb says 2 for omega=8, but the
         # level-budget recipe picks 1 at n=500 and 7 at n=20000
-        assert sort_external(random_permutation(500, seed=2), PARAMS).extras["k"] == 1
-        assert sort_external(random_permutation(20_000, seed=2), PARAMS).extras["k"] == 7
+        engine = SortEngine(PARAMS)
+        assert engine.sort(random_permutation(500, seed=2), "mergesort").extras["k"] == 1
+        assert engine.sort(random_permutation(20_000, seed=2), "mergesort").extras["k"] == 7
 
     def test_selection_label_has_no_k(self):
         # regression: selection (Lemma 4.2) has no branching factor — the
         # label and extras must not carry one (k fragments batch aggregation)
-        rep = sort_external(random_permutation(300, seed=8), PARAMS,
-                            algorithm="selection", k=5)
+        rep = SortEngine(PARAMS).sort(random_permutation(300, seed=8),
+                                      algorithm="selection", k=5)
         assert rep.algorithm == "aem-selection"
         assert rep.extras == {}
         assert rep.family == "selection"
         assert rep.is_sorted()
 
     def test_family_is_canonical(self):
-        rep = sort_external(random_permutation(200, seed=6), PARAMS,
-                            algorithm="mergesort", k=3)
+        rep = SortEngine(PARAMS).sort(random_permutation(200, seed=6),
+                                      algorithm="mergesort", k=3)
         assert rep.family == "mergesort"
         assert rep.algorithm == "aem-mergesort(k=3)"
 
     def test_cost_uses_machine_omega(self):
-        rep = sort_external(random_permutation(300, seed=3), PARAMS, k=1)
+        rep = SortEngine(PARAMS).sort(random_permutation(300, seed=3), "mergesort", k=1)
         assert rep.cost() == rep.reads + 8 * rep.writes
         assert rep.cost(omega=2) == rep.reads + 2 * rep.writes
 
     def test_memory_high_water_reported(self):
-        rep = sort_external(random_permutation(1000, seed=4), PARAMS, algorithm="mergesort", k=2)
+        rep = SortEngine(PARAMS).sort(random_permutation(1000, seed=4), algorithm="mergesort", k=2)
         assert 0 < rep.memory_high_water <= PARAMS.M + 2 * PARAMS.B
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
-            sort_external([1], PARAMS, algorithm="bogosort")
+            SortEngine(PARAMS).sort([1], algorithm="bogosort")
 
     @pytest.mark.parametrize("alg", ["mergesort", "samplesort", "heapsort", "selection"])
     @pytest.mark.parametrize("n", [0, 1, 8, 9])  # 0, 1, B, B+1
     def test_edge_sizes(self, alg, n):
         data = list(range(n - 1, -1, -1))
-        rep = sort_external(data, PARAMS, algorithm=alg, k=2)
+        rep = SortEngine(PARAMS).sort(data, algorithm=alg, k=2)
         assert rep.output == sorted(data)
         assert rep.n == n
         if n == 0:
@@ -108,11 +109,11 @@ class TestSortReportAccounting:
         assert rep.cost(omega=2) == 10 + 2 * 3
 
     def test_empty_external_sort_reports_zero(self):
-        rep = sort_external([], PARAMS, algorithm="mergesort", k=1)
+        rep = SortEngine(PARAMS).sort([], algorithm="mergesort", k=1)
         assert rep.reads == 0 and rep.writes == 0 and rep.cost() == 0
 
     def test_cost_consistent_with_reads_writes(self):
-        rep = sort_external(random_permutation(100, seed=9), PARAMS, k=2)
+        rep = SortEngine(PARAMS).sort(random_permutation(100, seed=9), "mergesort", k=2)
         assert rep.cost() == rep.reads + PARAMS.omega * rep.writes
         assert rep.reads == rep.counter.block_reads
         assert rep.writes == rep.counter.block_writes
@@ -124,21 +125,21 @@ class TestSortRam:
     )
     def test_algorithms(self, alg):
         data = random_permutation(400, seed=5)
-        rep = sort_ram(data, algorithm=alg)
+        rep = ram_sort_report(data, algorithm=alg)
         assert rep.output == sorted(data)
         assert rep.reads > 0
 
     def test_family_is_ram(self):
-        rep = sort_ram(random_permutation(50, seed=7), algorithm="quicksort")
+        rep = ram_sort_report(random_permutation(50, seed=7), algorithm="quicksort")
         assert rep.family == "ram"
         assert rep.algorithm == "ram-quicksort"
 
     def test_cost_requires_omega_without_params(self):
-        rep = sort_ram([2, 1])
+        rep = ram_sort_report([2, 1])
         with pytest.raises(ValueError):
             rep.cost()
         assert rep.cost(omega=4) > 0
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
-            sort_ram([1], algorithm="sleepsort")
+            ram_sort_report([1], algorithm="sleepsort")

@@ -14,7 +14,7 @@ import pytest
 from repro import MachineParams, SortEngine
 from repro.cluster import ClusterCoordinator, ClusterSpec, LocalCluster
 from repro.planner import PlanCache, plan_cluster_shards, predict_shard_merge_io
-from repro.service import EngineServer, SortService, WorkerDiedError
+from repro.service import EngineServer, ServiceError, SortService, WorkerDiedError
 from repro.workloads import make_scenario, random_permutation
 
 PARAMS = MachineParams(M=64, B=8, omega=8)
@@ -89,6 +89,29 @@ class TestScatterGather:
         with SortEngine(PARAMS) as engine:
             ref = engine.sort(data)
         assert coord.sort(data).output == ref.output
+
+    def test_failed_scatter_leaves_nothing_in_flight(self, fleet):
+        # every shard fails remotely; gather stops at the first, and the
+        # siblings must still be settled rather than counted in flight
+        coord, _ = fleet
+        with pytest.raises(ServiceError, match="unknown algorithm"):
+            coord.sort(random_permutation(2_000, seed=5), algorithm="bogosort")
+        assert coord.stats()["aggregate"]["in_flight"] == 0
+        data = random_permutation(2_000, seed=6)
+        assert coord.sort(data).output == sorted(data)
+        assert coord.stats()["aggregate"]["in_flight"] == 0
+
+    def test_refused_shard_submit_settles_submitted_shards(self, fleet, monkeypatch):
+        coord, _ = fleet
+        refusing = coord._clients[2]
+
+        def refuse(*args, **kwargs):
+            raise ServiceError("refused", {"ok": False, "error": "refused"})
+
+        monkeypatch.setattr(refusing, "submit", refuse)
+        with pytest.raises(ServiceError, match="refused"):
+            coord.sort(random_permutation(2_000, seed=7))
+        assert coord.stats()["aggregate"]["in_flight"] == 0
 
 
 class TestRouting:

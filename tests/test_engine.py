@@ -8,10 +8,7 @@ from repro import (
     PlanCache,
     SortEngine,
     SortJob,
-    run_batch,
-    sort_auto,
-    sort_external,
-    sort_ram,
+    ram_sort_report,
 )
 from repro.models import AEMachine, MemoryGuard
 from repro.planner.cost_model import predict_stream_io
@@ -93,15 +90,15 @@ class TestEngineSort:
 
 
 class TestLegacyShimParity:
-    """The module-level calls must return exactly what the pre-redesign
-    implementations returned (reference runs built from the raw algorithm
-    modules)."""
+    """``SortEngine.sort`` and :func:`ram_sort_report` must return exactly
+    what a raw algorithm-module run returns, and a throwaway engine exactly
+    what a long-lived one does."""
 
     def test_sort_external_matches_raw_machine_run(self):
         from repro.core.aem_mergesort import aem_mergesort
 
         data = random_permutation(700, seed=6)
-        shim = sort_external(data, PARAMS, algorithm="mergesort", k=3)
+        shim = SortEngine(PARAMS).sort(data, algorithm="mergesort", k=3)
         machine = AEMachine(PARAMS)
         guard = MemoryGuard()
         out = aem_mergesort(machine, machine.from_list(data, name="input"), 3, guard=guard)
@@ -115,7 +112,7 @@ class TestLegacyShimParity:
         from repro.core.selection_sort import selection_sort
 
         data = random_permutation(300, seed=7)
-        shim = sort_external(data, PARAMS, algorithm="selection", k=9)
+        shim = SortEngine(PARAMS).sort(data, algorithm="selection", k=9)
         machine = AEMachine(PARAMS)
         out = selection_sort(machine, machine.from_list(data, name="input"),
                              guard=MemoryGuard())
@@ -129,7 +126,7 @@ class TestLegacyShimParity:
         from repro.core.ram_sort import RAM_SORTS
 
         data = random_permutation(200, seed=8)
-        shim = sort_ram(data, algorithm="bst-rb")
+        shim = ram_sort_report(data, algorithm="bst-rb")
         out, counter = RAM_SORTS["bst-rb"](data)
         assert shim.output == out
         assert shim.reads == counter.element_reads
@@ -139,20 +136,24 @@ class TestLegacyShimParity:
     @pytest.mark.parametrize("n", [40, 3000])  # ram route and external route
     def test_sort_auto_equals_engine_sort(self, n):
         data = random_permutation(n, seed=9)
-        shim = sort_auto(data, PARAMS)
-        eng = SortEngine(PARAMS).sort(data)
+        shim = SortEngine(PARAMS).sort(data)
+        engine = SortEngine(PARAMS)
+        engine.plan(n)  # a warm cache must not change the report
+        eng = engine.sort(data)
         assert report_tuple(shim) == report_tuple(eng)
         assert shim.extras["plan"] == eng.extras["plan"]
 
     def test_run_batch_equals_engine_batch(self):
         jobs = [SortJob(random_permutation(400, seed=i), PARAMS) for i in range(6)]
-        shim = run_batch(jobs, check_sorted=True)
-        eng = SortEngine(PARAMS).batch(jobs, check_sorted=True)
-        assert [report_tuple(r) for r in shim.reports] == [
-            report_tuple(r) for r in eng.reports
+        with SortEngine(PARAMS) as engine:
+            batch = engine.batch(jobs, check_sorted=True)
+        one_by_one = SortEngine(PARAMS)
+        singles = [one_by_one.sort(job.data) for job in jobs]
+        assert [report_tuple(r) for r in batch.reports] == [
+            report_tuple(r) for r in singles
         ]
-        assert shim.summary()["cost"] == eng.summary()["cost"]
-        assert not shim.failures and not eng.failures
+        assert batch.summary()["cost"] == sum(r.cost() for r in singles)
+        assert not batch.failures
 
 
 class TestUniformRegistry:
@@ -193,10 +194,8 @@ class TestRamAlgorithmThreading:
 
     @pytest.mark.parametrize("alg", ["bst-rb", "quicksort", "heapsort"])
     def test_ram_report_on_machine_accepts_algorithm(self, alg):
-        from repro.api import ram_report_on_machine
-
         data = random_permutation(40, seed=11)
-        rep = ram_report_on_machine(data, PARAMS, algorithm=alg)
+        rep = SortEngine(PARAMS).sort(data, algorithm="ram", ram_algorithm=alg)
         assert rep.algorithm == f"ram-{alg}"
         assert rep.granularity == "block"
         assert rep.output == sorted(data)
@@ -204,14 +203,12 @@ class TestRamAlgorithmThreading:
         assert rep.reads == rep.writes == 5
 
     def test_ram_report_rejects_oversized_input(self):
-        from repro.api import ram_report_on_machine
-
         with pytest.raises(ValueError, match="n <= M"):
-            ram_report_on_machine(list(range(PARAMS.M + 1)), PARAMS)
+            SortEngine(PARAMS).sort(list(range(PARAMS.M + 1)), algorithm="ram")
 
     def test_sort_auto_routes_ram_algorithm(self):
         data = random_permutation(30, seed=12)
-        rep = sort_auto(data, PARAMS, ram_algorithm="quicksort")
+        rep = SortEngine(PARAMS).sort(data, ram_algorithm="quicksort")
         assert rep.algorithm == "ram-quicksort"
         assert rep.extras["plan"]["chosen"]["algorithm"] == "ram"
 
@@ -244,8 +241,11 @@ class TestEngineBatch:
         assert thread.algorithm_mix() == process.algorithm_mix()
 
     def test_run_batch_requires_some_params(self):
+        # outside an engine or service nothing fills in the machine
+        from repro.planner.batch import execute_and_check
+
         with pytest.raises(ValueError, match="machine params"):
-            run_batch([SortJob(data=[3, 1, 2])])
+            execute_and_check(0, SortJob(data=[3, 1, 2]))
 
 
 class TestEngineCalibrate:
@@ -405,7 +405,7 @@ class TestStreamCostBounds:
         engine = SortEngine(PARAMS)
         with engine.stream() as s:
             s.push_many(data)
-        auto = sort_auto(data, PARAMS)
+        auto = SortEngine(PARAMS).sort(data)
         assert s.report.output == auto.output == sorted(data)
         assert s.report.granularity == auto.granularity == "block"
         # streaming pays the online overhead but stays within a small

@@ -319,17 +319,20 @@ class TestKernelModeAcrossProcesses:
         """A kernel_mode(...) block around a process-executor batch must
         govern the worker processes, not silently fall back to the parent's
         import-time default (module globals do not cross fork/spawn)."""
-        from repro import SortJob, run_batch
+        from repro import SortEngine, SortJob
 
         jobs = [
             SortJob(data=list(range(300, 0, -1)), params=PARAMS, label=f"j{i}")
             for i in range(4)
         ]
+
+        def process_batch():
+            with SortEngine(PARAMS, executor="process", workers=2) as engine:
+                return engine.batch(jobs, check_sorted=True)
+
         with kernel_mode(SLOW_REFERENCE):
-            slow = run_batch(jobs, max_workers=2, executor="process",
-                             check_sorted=True)
-        fast = run_batch(jobs, max_workers=2, executor="process",
-                         check_sorted=True)
+            slow = process_batch()
+        fast = process_batch()
         assert not slow.failures and not fast.failures
         # I/O-invisibility means the aggregates agree — the real check is
         # that both modes executed without error end to end in the workers

@@ -2,11 +2,17 @@
 
 import pytest
 
-from repro import MachineParams, SortJob, plan_sort, rank_plans, run_batch, sort_auto
+from repro import MachineParams, SortEngine, SortJob, plan_sort, rank_plans
 from repro.planner.cost_model import PLANNABLE_ALGORITHMS, predict_candidate
 from repro.workloads import SCENARIOS, make_scenario, random_permutation
 
 SMALL = MachineParams(M=64, B=8, omega=8)
+
+
+def _batch(jobs, workers=None, cache=None, **kwargs):
+    """One batch on a fresh engine, torn down afterwards."""
+    with SortEngine(SMALL, workers=workers, cache=cache) as engine:
+        return engine.batch(jobs, **kwargs)
 
 
 class TestCostModel:
@@ -71,7 +77,7 @@ class TestCostModel:
         p = MachineParams(M=8, B=8, omega=8)
         ranked = rank_plans(100, p)
         assert [c.algorithm for c in ranked] == ["selection"]
-        rep = sort_auto(random_permutation(100, seed=6), p)
+        rep = SortEngine(p).sort(random_permutation(100, seed=6))
         assert rep.algorithm.startswith("aem-selection")
         assert rep.is_sorted()
         # and ram joins when the input fits
@@ -108,7 +114,7 @@ class TestTieBreaking:
 
 
 class TestSortAuto:
-    """sort_auto must execute the argmin-predicted-cost algorithm.
+    """Adaptive ``engine.sort`` must execute the argmin-predicted-cost algorithm.
 
     The three regimes pin three *different* winners, so the routing logic
     (not a constant choice) is what passes this test.
@@ -127,7 +133,7 @@ class TestSortAuto:
         plan = plan_sort(n, params)
         best = min(plan.ranked, key=lambda c: c.predicted_cost)
         assert plan.chosen.predicted_cost == best.predicted_cost
-        rep = sort_auto(random_permutation(n, seed=7), params)
+        rep = SortEngine(params).sort(random_permutation(n, seed=7))
         assert rep.algorithm.startswith(prefix)
         assert rep.is_sorted()
         assert rep.n == n
@@ -135,17 +141,17 @@ class TestSortAuto:
     def test_chosen_k_executed(self):
         params = MachineParams(M=64, B=8, omega=32)
         plan = plan_sort(20_000, params)
-        rep = sort_auto(random_permutation(20_000, seed=3), params)
+        rep = SortEngine(params).sort(random_permutation(20_000, seed=3))
         assert f"k={plan.chosen.k}" in rep.algorithm
 
     def test_report_carries_plan(self):
-        rep = sort_auto(random_permutation(300, seed=1), SMALL)
+        rep = SortEngine(SMALL).sort(random_permutation(300, seed=1))
         plan = rep.extras["plan"]
         assert plan["chosen"]["algorithm"] == plan["ranked"][0]["algorithm"]
         assert len(plan["ranked"]) >= 3
 
     def test_ram_path_attaches_params(self):
-        rep = sort_auto(random_permutation(32, seed=2), SMALL)
+        rep = SortEngine(SMALL).sort(random_permutation(32, seed=2))
         assert rep.algorithm.startswith("ram-")
         assert rep.params == SMALL
         assert rep.cost() == rep.reads + SMALL.omega * rep.writes
@@ -154,7 +160,7 @@ class TestSortAuto:
         # the ram route reports the AEM transfer cost of the in-memory plan
         # (one scan in, one stream out), so its cost is commensurable with
         # external reports and with extras["plan"]'s prediction
-        rep = sort_auto(random_permutation(32, seed=2), SMALL)
+        rep = SortEngine(SMALL).sort(random_permutation(32, seed=2))
         assert rep.granularity == "block"
         assert rep.reads == 4 and rep.writes == 4  # ceil(32/8) each way
         assert rep.cost() == rep.extras["plan"]["chosen"]["predicted_cost"]
@@ -162,15 +168,15 @@ class TestSortAuto:
         assert rep.counter.element_reads > 0
 
     def test_restricted_field(self):
-        rep = sort_auto(
-            random_permutation(300, seed=4), SMALL, algorithms=("mergesort",)
+        rep = SortEngine(SMALL).sort(
+            random_permutation(300, seed=4), algorithms=("mergesort",)
         )
         assert rep.algorithm.startswith("aem-mergesort")
 
 
 class TestBatchExecutor:
     def test_empty_batch(self):
-        rep = run_batch([])
+        rep = _batch([])
         assert rep.jobs_completed == 0 and rep.failures == []
 
     def test_fifty_job_mixed_workload(self):
@@ -185,7 +191,7 @@ class TestBatchExecutor:
             )
             for i in range(50)
         ]
-        report = run_batch(jobs, check_sorted=True)
+        report = _batch(jobs, check_sorted=True)
         assert report.jobs_completed == 50
         assert not report.failures
         assert report.total_records == sum(200 + 37 * i for i in range(50))
@@ -207,7 +213,7 @@ class TestBatchExecutor:
             SortJob(data=random_permutation(100 + i, seed=i), params=SMALL)
             for i in range(10)
         ]
-        report = run_batch(jobs, max_workers=4)
+        report = _batch(jobs, workers=4)
         assert [r.n for r in report.reports] == [100 + i for i in range(10)]
 
     def test_pinned_algorithm(self):
@@ -220,13 +226,13 @@ class TestBatchExecutor:
             )
             for i in range(3)
         ]
-        report = run_batch(jobs)
+        report = _batch(jobs)
         assert all(r.algorithm == "aem-mergesort(k=2)" for r in report.reports)
 
     def test_failure_captured_not_fatal(self):
         good = SortJob(data=random_permutation(100, seed=0), params=SMALL)
         bad = SortJob(data=[1, 2, 3], params=SMALL, algorithm="bogosort", label="bad")
-        report = run_batch([good, bad, good])
+        report = _batch([good, bad, good])
         assert report.jobs_completed == 2
         assert len(report.failures) == 1
         assert report.failures[0].label == "bad"
@@ -249,7 +255,7 @@ class TestBatchExecutor:
             SortJob(data=random_permutation(50, seed=i), params=SMALL, algorithm="ram")
             for i in range(3)
         ]
-        report = run_batch(jobs, check_sorted=True)
+        report = _batch(jobs, check_sorted=True)
         assert report.jobs_completed == 3 and not report.failures
         assert report.total_cost() > 0
         assert report.summary()["jobs"] == 3
@@ -263,7 +269,7 @@ class TestBatchExecutor:
             SortJob(data=random_permutation(50, seed=1), params=SMALL,
                     algorithm="ram"),
         ]
-        report = run_batch(jobs)
+        report = _batch(jobs)
         assert report.jobs_completed == 1
         assert len(report.failures) == 1
         assert report.failures[0].label == "too-big"
@@ -275,7 +281,7 @@ class TestBatchExecutor:
             job = SortJob(
                 data=random_permutation(60, seed=5), params=SMALL, algorithm=alg, k=1
             )
-            report = run_batch([job], check_sorted=True)
+            report = _batch([job], check_sorted=True)
             assert report.jobs_completed == 1, (alg, report.failures)
 
     def test_summary_surfaces_plan_cache_stats(self):
@@ -285,7 +291,7 @@ class TestBatchExecutor:
             SortJob(data=random_permutation(400, seed=i), params=SMALL)
             for i in range(6)
         ]
-        report = run_batch(jobs)
+        report = _batch(jobs)
         assert report.plan_misses == 1 and report.plan_hits == 5
         summary = report.summary()
         assert summary["plan_hits"] == 5 and summary["plan_misses"] == 1
@@ -295,7 +301,7 @@ class TestBatchExecutor:
                     algorithm="mergesort", k=2)
             for i in range(3)
         ]
-        report = run_batch(pinned)
+        report = _batch(pinned)
         assert report.plan_hits == 0 and report.plan_misses == 0
 
     def test_caller_supplied_cache_reused_across_batches(self):
@@ -306,9 +312,9 @@ class TestBatchExecutor:
             SortJob(data=random_permutation(500, seed=i), params=SMALL)
             for i in range(4)
         ]
-        first = run_batch(jobs, plan_cache=cache)
+        first = _batch(jobs, cache=cache)
         assert first.plan_misses == 1 and first.plan_hits == 3
-        second = run_batch(jobs, plan_cache=cache)
+        second = _batch(jobs, cache=cache)
         # warm cache: every plan is a hit, and per-batch stats are deltas
         assert second.plan_misses == 0 and second.plan_hits == 4
 
@@ -323,7 +329,7 @@ class TestBatchExecutor:
             SortJob(data=random_permutation(300, seed=2), params=SMALL,
                     algorithm="selection"),
         ]
-        report = run_batch(jobs)
+        report = _batch(jobs)
         assert report.algorithm_mix() == {"mergesort": 2, "selection": 1}
         rows = {row["family"]: row["jobs"] for row in report.mix_rows()}
         assert rows == {"mergesort": 2, "selection": 1}

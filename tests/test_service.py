@@ -1,5 +1,5 @@
 """Tests for the asynchronous SortService: futures, priority dispatch,
-persistent pools, worker-death isolation, and batch-shim parity."""
+persistent pools, worker-death isolation, and batch parity."""
 
 import os
 import threading
@@ -9,7 +9,7 @@ import pytest
 from concurrent.futures import CancelledError
 
 from repro import MachineParams, SortEngine, SortJob
-from repro.planner.batch import execute_batch
+from repro.planner.batch import BatchReport, JobFailure
 from repro.service import (
     CANCELLED,
     FINISHED,
@@ -187,11 +187,6 @@ class TestSubmission:
             with pytest.raises(ValueError, match="unknown algorithm"):
                 fut.result(timeout=30)
 
-    def test_invalid_worker_pin_rejected(self):
-        with SortService(PARAMS, workers=2) as svc:
-            with pytest.raises(ValueError, match="worker"):
-                svc.submit(random_permutation(10, seed=0), worker=5)
-
     def test_bad_executor_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
             SortService(PARAMS, executor="gpu")
@@ -300,7 +295,7 @@ class TestShutdown:
 
 
 # ---------------------------------------------------------------------- #
-# batch shim parity: engine.batch == submit_many + gather == execute_batch
+# batch parity: engine.batch == submit_many + gather == per-job engine.sort
 # ---------------------------------------------------------------------- #
 def batch_fingerprint(report):
     """Everything in a BatchReport except wall-clock timing."""
@@ -317,17 +312,50 @@ def batch_fingerprint(report):
     }
 
 
+def sequential_reference(jobs, executor):
+    """The batch oracle: one ``SortEngine.sort`` call per job, in order, on
+    one engine — the per-job code every batch worker runs."""
+    engine = SortEngine(PARAMS)
+    report = BatchReport(executor=executor)
+    for i, job in enumerate(jobs):
+        try:
+            if job.algorithm is None:
+                rep = engine.sort(job.data)
+            else:
+                rep = engine.sort(job.data, algorithm=job.algorithm, k=job.k)
+        except Exception as exc:  # noqa: BLE001 — captured per job, as in a batch
+            report.failures.append(JobFailure(index=i, label=job.label, error=exc))
+        else:
+            report.reports.append(rep)
+    report.plan_hits = engine.cache.hits
+    report.plan_misses = engine.cache.misses
+    return report
+
+
 class TestBatchShimParity:
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_engine_batch_matches_execute_batch_reference(self, executor):
         jobs = _jobs(8)
-        reference = execute_batch(jobs, max_workers=2, executor=executor)
-        via_service = SortEngine(PARAMS, executor=executor, workers=2)
-        try:
-            got = via_service.batch(jobs)
-        finally:
-            via_service.close()
-        assert batch_fingerprint(got) == batch_fingerprint(reference)
+        jobs[3] = SortJob(data=[3, 1, 2], params=PARAMS, algorithm="bogosort",
+                          label="bad")
+        jobs[5] = SortJob(data=random_permutation(300, seed=5), params=PARAMS,
+                          algorithm="samplesort", k=2, label="pinned")
+        # repeated shapes, so the plan cache sees hits as well as misses
+        for i, like in ((6, 0), (7, 2)):
+            jobs[i] = SortJob(data=random_permutation(len(jobs[like].data), seed=i),
+                              params=PARAMS, label=f"again/{like}")
+        reference = batch_fingerprint(sequential_reference(jobs, executor))
+        with SortEngine(PARAMS, executor=executor, workers=2) as engine:
+            got = batch_fingerprint(engine.batch(jobs))
+        if executor == "process":
+            # each worker process owns its plan cache: a shape first seen by
+            # both workers misses twice, so only the total is pinned
+            adaptive = sum(job.algorithm is None for job in jobs)
+            assert got["plan_hits"] + got["plan_misses"] == adaptive
+            assert sum(h + m for h, m in got["shard_plan_stats"]) == adaptive
+            for key in ("plan_hits", "plan_misses", "shard_plan_stats"):
+                del got[key], reference[key]
+        assert got == reference
 
     def test_engine_batch_is_submit_many_plus_gather(self):
         jobs = _jobs(6)
@@ -388,12 +416,12 @@ class TestPersistentProcessPool:
     def test_worker_caches_stay_warm_across_submissions(self):
         # same job shape submitted twice: the second round must hit the
         # worker-local caches that survived the first round
-        with SortService(PARAMS, workers=2, executor="process") as svc:
+        with SortService(PARAMS, workers=1, executor="process") as svc:
             jobs = [SortJob(data=random_permutation(400, seed=i), params=PARAMS)
                     for i in range(4)]
-            first = svc.gather(svc.submit_many(jobs, round_robin=True))
-            second = svc.gather(svc.submit_many(jobs, round_robin=True))
-        assert first.plan_misses == 2 and first.plan_hits == 2
+            first = svc.gather(svc.submit_many(jobs))
+            second = svc.gather(svc.submit_many(jobs))
+        assert first.plan_misses == 1 and first.plan_hits == 3
         assert second.plan_misses == 0 and second.plan_hits == 4
 
     def test_warm_broadcast_to_live_pool(self):
@@ -405,7 +433,7 @@ class TestPersistentProcessPool:
             assert svc.warm(parent) == 1
             jobs = [SortJob(data=random_permutation(400, seed=i), params=PARAMS)
                     for i in range(4)]
-            report = svc.gather(svc.submit_many(jobs, round_robin=True))
+            report = svc.gather(svc.submit_many(jobs))
         assert report.plan_misses == 0 and report.plan_hits == 4
 
     def test_dead_worker_fails_only_inflight_and_pool_respawns(self):

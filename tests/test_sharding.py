@@ -1,14 +1,13 @@
-"""Tests for the process-pool batch executor and the sharding layer."""
+"""Tests for the process-executor batch path: ``SortEngine(...,
+executor="process").batch`` deals the jobs across persistent worker
+processes, each with its own plan cache."""
+
+import os
 
 import pytest
 
-from repro import MachineParams, SortJob, run_batch
-from repro.planner.sharding import (
-    default_shard_count,
-    execute_shard,
-    merge_shard_reports,
-    partition_jobs,
-)
+from repro import MachineParams, PlanCache, SortEngine, SortJob
+from repro.service import WorkerDiedError
 from repro.workloads import make_scenario, random_permutation
 
 SMALL = MachineParams(M=64, B=8, omega=8)
@@ -26,37 +25,45 @@ def _mixed_jobs(count=12, base_n=200):
     ]
 
 
+def _batch(jobs, executor="process", workers=None, **kwargs):
+    """One batch on a fresh engine, torn down afterwards."""
+    with SortEngine(SMALL, executor=executor, workers=workers) as engine:
+        return engine.batch(jobs, **kwargs)
+
+
+def _same_n_jobs(count, n):
+    return [SortJob(data=random_permutation(n, seed=i), params=SMALL) for i in range(count)]
+
+
+class _Exiter:
+    """Record whose first comparison kills the worker process outright."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __lt__(self, other):
+        os._exit(3)
+
+    def __le__(self, other):  # pragma: no cover - whichever fires first
+        os._exit(3)
+
+
 class TestPartitioning:
-    def test_round_robin_preserves_indices(self):
-        jobs = _mixed_jobs(7)
-        shards = partition_jobs(jobs, 3)
-        assert len(shards) == 3
-        assert sorted(i for shard in shards for i, _ in shard) == list(range(7))
-        # round-robin: shard s holds indices s, s+3, s+6, ...
-        assert [i for i, _ in shards[0]] == [0, 3, 6]
-        assert [i for i, _ in shards[1]] == [1, 4]
-
     def test_more_shards_than_jobs_drops_empties(self):
-        shards = partition_jobs(_mixed_jobs(2), 5)
-        assert len(shards) == 2
-
-    def test_invalid_shard_count(self):
-        with pytest.raises(ValueError, match="num_shards"):
-            partition_jobs(_mixed_jobs(2), 0)
-
-    def test_default_shard_count_bounds(self):
-        assert default_shard_count(0) == 1
-        assert 1 <= default_shard_count(100)
+        # idle workers contribute no (0, 0) entry to the per-worker stats
+        report = _batch(_mixed_jobs(2), workers=5)
+        assert report.jobs_completed == 2
+        assert 1 <= len(report.shard_plan_stats) <= 2
+        assert all(h + m >= 1 for h, m in report.shard_plan_stats)
 
 
 class TestProcessExecutor:
     def test_thread_and_process_identical_aggregates(self):
-        # the acceptance criterion: identical model-level totals from both
-        # executors on the identical job list (same per-job simulation, only
-        # scheduling differs)
+        # identical model-level totals from both executors on the identical
+        # job list (same per-job simulation, only scheduling differs)
         jobs = _mixed_jobs(12)
-        thread = run_batch(jobs, executor="thread")
-        process = run_batch(jobs, executor="process", max_workers=2)
+        thread = _batch(jobs, executor="thread")
+        process = _batch(jobs, workers=2)
         assert not thread.failures and not process.failures
         assert process.total_reads == thread.total_reads
         assert process.total_writes == thread.total_writes
@@ -71,13 +78,13 @@ class TestProcessExecutor:
             SortJob(data=random_permutation(100 + i, seed=i), params=SMALL)
             for i in range(10)
         ]
-        report = run_batch(jobs, executor="process", max_workers=3)
+        report = _batch(jobs, workers=3)
         assert [r.n for r in report.reports] == [100 + i for i in range(10)]
 
     def test_failures_captured_per_job(self):
         good = SortJob(data=random_permutation(100, seed=0), params=SMALL)
         bad = SortJob(data=[3, 1, 2], params=SMALL, algorithm="bogosort", label="bad")
-        report = run_batch([good, bad, good], executor="process", max_workers=2)
+        report = _batch([good, bad, good], workers=2)
         assert report.jobs_completed == 2
         assert len(report.failures) == 1
         assert report.failures[0].index == 1
@@ -93,7 +100,7 @@ class TestProcessExecutor:
             SortJob(data=random_permutation(50, seed=1), params=SMALL,
                     algorithm="ram", label="fits"),
         ]
-        report = run_batch(jobs, executor="process", max_workers=2)
+        report = _batch(jobs, workers=2)
         assert report.jobs_completed == 1
         assert [f.label for f in report.failures] == ["too-big"]
         assert isinstance(report.failures[0].error, ValueError)
@@ -102,100 +109,47 @@ class TestProcessExecutor:
 
     def test_check_sorted_enforced_in_workers(self):
         jobs = [SortJob(data=random_permutation(300, seed=7), params=SMALL)]
-        report = run_batch(jobs, executor="process", max_workers=1, check_sorted=True)
+        report = _batch(jobs, workers=1, check_sorted=True)
         assert report.jobs_completed == 1 and not report.failures
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError, match="unknown executor"):
-            run_batch(_mixed_jobs(2), executor="gpu")
+            _batch(_mixed_jobs(2), executor="gpu")
 
     def test_nonpositive_workers_rejected_by_both_backends(self):
-        for executor in ("thread", "process"):
-            with pytest.raises(ValueError, match="max_workers"):
-                run_batch(_mixed_jobs(2), executor=executor, max_workers=0)
+        with SortEngine(SMALL) as engine:
+            for executor in ("thread", "process"):
+                with pytest.raises(ValueError, match="max_workers"):
+                    engine.batch(_mixed_jobs(2), executor=executor, workers=0)
 
-    def test_dead_shard_worker_fails_its_jobs_not_the_batch(self, monkeypatch):
-        # a worker death (OOM kill, segfault) surfaces as the future raising;
-        # the lost shard's jobs become JobFailures and other shards survive
-        import repro.planner.sharding as sharding
-
-        real = sharding.execute_shard
-
-        def flaky(shard, check_sorted=False, constants=None, warm_entries=None,
-                  kernel=None):
-            if any(index == 0 for index, _ in shard):
-                raise RuntimeError("simulated worker death")
-            return real(shard, check_sorted, constants, warm_entries, kernel)
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                from concurrent.futures import Future
-
-                fut = Future()
-                try:
-                    fut.set_result(fn(*args))
-                except Exception as e:  # noqa: BLE001
-                    fut.set_exception(e)
-                return fut
-
-        monkeypatch.setattr(sharding, "execute_shard", flaky)
-        monkeypatch.setattr(sharding, "ProcessPoolExecutor", InlinePool)
-        jobs = _mixed_jobs(6)
-        report = sharding.run_sharded(jobs, num_shards=2)
-        # shard 0 held indices 0, 2, 4 — all recorded failed; shard 1 survives
+    def test_dead_shard_worker_fails_its_jobs_not_the_batch(self):
+        # a worker death (OOM kill, segfault) fails only the job it was
+        # running; the respawned pool completes the rest of the batch
+        jobs = _mixed_jobs(4)
+        jobs[1] = SortJob(data=[_Exiter(v) for v in range(20)], params=SMALL,
+                          algorithm="mergesort", label="poison")
+        report = _batch(jobs, workers=2)
         assert report.jobs_completed == 3
-        assert [f.index for f in report.failures] == [0, 2, 4]
-        assert all("did not complete" in str(f.error) for f in report.failures)
+        assert [f.index for f in report.failures] == [1]
+        assert isinstance(report.failures[0].error, WorkerDiedError)
+        assert [r.n for r in report.reports] == [len(jobs[i].data) for i in (0, 2, 3)]
 
     def test_empty_batch(self):
-        report = run_batch([], executor="process")
+        report = _batch([])
         assert report.jobs_completed == 0 and report.executor == "process"
 
     def test_per_shard_plan_caches_report_hits(self):
-        # 8 jobs of the same n over 2 shards: each shard plans once and hits
-        # three times; merged stats show 2 misses + 6 hits
-        jobs = [
-            SortJob(data=random_permutation(400, seed=i), params=SMALL)
-            for i in range(8)
-        ]
-        report = run_batch(jobs, executor="process", max_workers=2)
-        assert report.plan_misses == 2
-        assert report.plan_hits == 6
-        assert report.summary()["plan_hits"] == 6
+        # 8 jobs of the same n: every worker that ran a job planned once and
+        # hit on the rest, so misses count the busy workers
+        report = _batch(_same_n_jobs(8, 400), workers=2)
+        assert report.plan_misses == len(report.shard_plan_stats)
+        assert report.plan_hits + report.plan_misses == 8
+        assert report.summary()["plan_hits"] == report.plan_hits
 
 
 class TestShardUnits:
-    def test_run_sharded_empty_jobs(self):
-        from repro.planner.sharding import run_sharded
-
-        report = run_sharded([])
-        assert report.jobs_completed == 0 and report.executor == "process"
-
-    def test_execute_shard_runs_inline(self):
-        jobs = _mixed_jobs(4)
-        result = execute_shard(list(enumerate(jobs)))
-        assert len(result.indices) == 4
-        assert result.report.jobs_completed == 4
-        assert result.report.plan_misses > 0
-
-    def test_merge_restores_submission_order(self):
-        jobs = _mixed_jobs(6)
-        shards = partition_jobs(jobs, 2)
-        merged = merge_shard_reports([execute_shard(s) for s in shards])
-        assert [r.n for r in merged.reports] == [j.data.__len__() for j in jobs]
-        assert merged.plan_misses > 0
-
     def test_unpicklable_error_replaced_by_standin(self):
-        from repro.planner.sharding import _picklable_error
+        from repro.service.workers import _picklable_error
 
         class Weird(Exception):
             def __init__(self, a, b):  # noqa: ARG002 - signature breaks pickling
@@ -210,63 +164,44 @@ class TestShardUnits:
 
 class TestWarmCache:
     def test_warm_entries_eliminate_shard_misses(self):
-        from repro import PlanCache
-
         parent = PlanCache()
         parent.plan(400, SMALL)
-        jobs = [
-            SortJob(data=random_permutation(400, seed=i), params=SMALL)
-            for i in range(8)
-        ]
-        cold = run_batch(jobs, executor="process", max_workers=2)
-        warm = run_batch(jobs, executor="process", max_workers=2,
-                         warm_cache=parent)
-        assert cold.plan_misses == 2 and cold.plan_hits == 6
+        jobs = _same_n_jobs(8, 400)
+        cold = _batch(jobs, workers=2)
+        warm = _batch(jobs, workers=2, warm_cache=parent)
+        assert cold.plan_misses == len(cold.shard_plan_stats)
+        assert cold.plan_hits + cold.plan_misses == 8
         assert warm.plan_misses == 0 and warm.plan_hits == 8
         # identical model aggregates either way — warmth saves planning
         # compute, never changes plans
         assert warm.total_cost() == cold.total_cost()
 
     def test_warm_cache_accepts_snapshot_entries(self):
-        from repro import PlanCache
-        from repro.planner.batch import execute_batch
-
         parent = PlanCache()
         parent.plan(300, SMALL)
-        jobs = [
-            SortJob(data=random_permutation(300, seed=i), params=SMALL)
-            for i in range(4)
-        ]
-        report = execute_batch(jobs, max_workers=2, executor="process",
-                               warm_cache=parent.snapshot())
+        report = _batch(_same_n_jobs(4, 300), workers=2,
+                        warm_cache=parent.snapshot())
         assert report.plan_misses == 0 and report.plan_hits == 4
 
     def test_thread_mode_seeds_the_shared_cache(self):
-        from repro import PlanCache
-        from repro.planner.batch import execute_batch
-
         parent = PlanCache()
         parent.plan(250, SMALL)
-        jobs = [
-            SortJob(data=random_permutation(250, seed=i), params=SMALL)
-            for i in range(3)
-        ]
-        report = execute_batch(jobs, executor="thread", warm_cache=parent)
+        report = _batch(_same_n_jobs(3, 250), executor="thread", warm_cache=parent)
         assert report.plan_misses == 0 and report.plan_hits == 3
 
 
 class TestPerShardStats:
     def test_merged_report_carries_per_shard_hit_miss(self):
-        jobs = [
-            SortJob(data=random_permutation(400, seed=i), params=SMALL)
-            for i in range(8)
-        ]
-        report = run_batch(jobs, executor="process", max_workers=2)
-        assert report.shard_plan_stats == [(3, 1), (3, 1)]
-        assert report.summary()["plan_per_shard"] == "3/1,3/1"
+        report = _batch(_same_n_jobs(8, 400), workers=2)
+        stats = report.shard_plan_stats
+        assert 1 <= len(stats) <= 2
+        assert all(m == 1 for _, m in stats)
+        assert sum(h + m for h, m in stats) == 8
+        assert report.summary()["plan_per_shard"] == ",".join(
+            f"{h}/{m}" for h, m in stats
+        )
 
     def test_thread_mode_reports_no_shard_breakdown(self):
-        jobs = _mixed_jobs(4)
-        report = run_batch(jobs, executor="thread")
+        report = _batch(_mixed_jobs(4), executor="thread")
         assert report.shard_plan_stats == []
         assert report.summary()["plan_per_shard"] == "-"
