@@ -50,6 +50,11 @@ class FunctionInfo:
     modname: str
     cls: str | None  # enclosing class name, None for module-level defs
     node: ast.FunctionDef | ast.AsyncFunctionDef = dataclasses.field(repr=False)
+    #: parameter/local name → project class qualifier, filled by
+    #: :meth:`ProjectIndex.finalize` (what ``obj.m()`` resolves through)
+    local_types: dict[str, str] = dataclasses.field(
+        default_factory=dict, repr=False
+    )
 
     @property
     def name(self) -> str:
@@ -143,13 +148,15 @@ class ProjectIndex:
         return mod
 
     def finalize(self) -> None:
-        """Infer attribute types, then resolve every call edge."""
+        """Infer attribute and local types, then resolve every call edge."""
         self.functions = {}
         for mod in self.modules.values():
             self.functions.update(mod.functions)
         for mod in self.modules.values():
             for cls in mod.classes.values():
                 cls.attr_types = self._infer_attr_types(mod, cls)
+            for info in mod.functions.values():
+                info.local_types = self._local_types(mod, info)
         self.edges = {}
         for mod in self.modules.values():
             for info in mod.functions.values():
@@ -315,7 +322,7 @@ class ProjectIndex:
                 target_qual = f"{binding[1]}:{func.attr}"
                 if target_qual in self.functions:
                     return target_qual
-            local = self._local_types(mod, caller).get(recv.id)
+            local = caller.local_types.get(recv.id)
             if local is not None:
                 return self._method_of(local, func.attr)
             return None
@@ -347,23 +354,15 @@ class ProjectIndex:
         }
 
 
-def build_project_index(
-    sources: dict[str, str], extra: dict[str, ast.Module] | None = None
-) -> ProjectIndex:
-    """Index ``{relpath: text}`` sources (plus pre-parsed ``extra`` trees —
-    the corpus-overlay hook: an extra tree *replaces* the real module at the
-    same virtual path) and resolve the call graph."""
+def build_project_index(sources: dict[str, str]) -> ProjectIndex:
+    """Index ``{relpath: text}`` sources (unparseable ones are skipped) and
+    resolve the call graph."""
     index = ProjectIndex()
-    overlay = extra or {}
     for relpath, text in sorted(sources.items()):
-        if relpath in overlay:
-            continue
         try:
             tree = ast.parse(text, filename=relpath)
         except SyntaxError:
             continue
-        index.add_module(relpath, tree)
-    for relpath, tree in sorted(overlay.items()):
         index.add_module(relpath, tree)
     index.finalize()
     return index

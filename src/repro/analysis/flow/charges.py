@@ -1,15 +1,21 @@
 """Charge-placement analysis.
 
-Deepens the syntactic ``loop-charge`` rule into a real dominance check
-over the CFG, in two parts:
+Checks where kernels in ``src/repro/core/`` issue their charges, over the
+CFG, in three parts:
+
+**C1 — no per-record charge inside a loop.**  A single-record charge
+(``charge_read`` / ``charge_write`` / ``charge_block_read`` /
+``charge_block_write``) at CFG loop depth ≥ 1 charges once per iteration
+where the vectorized-kernel contract wants one batched
+``charge_reads(n)`` / ``charge_writes(n)`` for the whole loop.
 
 **C2 — per-record helpers called from loops** (interprocedural).  A
 function whose straight-line body issues a bare aggregate charge
 (``charge_read()`` with no argument charges *one* record) is a
 "per-record" helper: calling it once is fine, calling it from a loop
 charges one record per iteration while the loop may touch ``B`` records
-per block.  The old rule only saw bare charges literally inside a loop;
-this one follows call edges, closing the helper-indirection gap.
+per block.  C1 sees bare charges literally inside a loop; C2 follows call
+edges, closing the helper-indirection gap.
 
 **C3 — manual block loops must be dominated by an aggregate charge.**
 ``for bi in range(run.num_blocks):`` iterates physical blocks.  If the
@@ -21,9 +27,10 @@ depth that dominates the loop header**.  Dominance (not mere textual
 precedence) is the point: a charge inside one branch of an ``if`` does
 not cover a loop that runs on both branches.
 
-Both checks honor the ``slow_reference`` exemption the way the paper's
-cost model does — the slow path is the *oracle*, deliberately uncharged.
-A statement is slow-exempt when it sits in a ``SLOW_REFERENCE`` branch
+All three honor the ``slow_reference`` exemption the way the paper's
+cost model does — the slow path is the *oracle*, charged record at a time
+by contract.  A statement is slow-exempt when its function is named for
+the slow kernel, when it sits in a ``SLOW_REFERENCE`` branch
 syntactically, or when its CFG node is dominated by the head of such a
 branch (so refactored layouts where the slow region falls through the
 bottom of a guard still count).
@@ -39,7 +46,7 @@ from .cfg import FOR, FunctionCFG, build_cfg
 from .lockset import _executed_subtrees, walk_executed
 from .solver import interprocedural_fixpoint
 
-#: bare forms that charge exactly one record (mirrors lint_rules)
+#: forms that charge exactly one record per call
 SINGLE_CHARGES = frozenset(
     {"charge_read", "charge_write", "charge_block_read", "charge_block_write"}
 )
@@ -126,7 +133,7 @@ def _slow_regions(fn_node: ast.AST) -> list[list[ast.stmt]]:
     ``mode == SLOW_REFERENCE`` / ``is`` → the body; ``!=`` / ``is not`` →
     the orelse, or — when the (fast) body terminates — the remainder of
     the enclosing block; unknown comparison shapes exempt both branches
-    (lenient, matching the old syntactic rule's generosity).
+    (lenient: when in doubt, a path counts as slow).
     """
     regions: list[list[ast.stmt]] = []
 
@@ -215,9 +222,7 @@ def _suppressed(suppressions: dict[int, set[str]] | None, line: int) -> bool:
     if not suppressions:
         return False
     rules = suppressions.get(line)
-    return rules is not None and (
-        "*" in rules or "flow-charge" in rules or "loop-charge" in rules
-    )
+    return rules is not None and ("*" in rules or "flow-charge" in rules)
 
 
 # --------------------------------------------------------------------------- #
@@ -325,10 +330,8 @@ def _charge_nodes(f: _FnFacts) -> list[tuple[int, int]]:
 def analyze_charges(
     index: ProjectIndex,
     suppressions: dict[str, dict[int, set[str]]] | None = None,
-    paths: set[str] | None = None,
 ) -> list[ChargeFinding]:
-    """Both checks over the project; findings restricted to core/ (and to
-    ``paths`` when given)."""
+    """All three checks over the project; findings restricted to core/."""
     suppressions = suppressions or {}
     facts = _fn_facts(index)
     per_record = compute_per_record(index, facts)
@@ -339,24 +342,37 @@ def analyze_charges(
         info = f.info
         if not info.path.startswith(SCOPE_PREFIXES):
             continue
-        if paths is not None and info.path not in paths:
-            continue
         table = suppressions.get(info.path)
 
         for node in f.cfg.nodes:
-            # C2: per-record helper invoked from inside a loop
             if node.depth >= 1:
                 for fragment in _executed_subtrees(node):
                     for sub in walk_executed(fragment):
-                        if not isinstance(sub, ast.Call):
-                            continue
-                        target = index.resolve_call(info, sub)
                         if (
-                            target is not None
-                            and per_record.get(target, False)
-                            and not f.exempt(node.idx, sub)
-                            and not _suppressed(table, sub.lineno)
+                            not isinstance(sub, ast.Call)
+                            or f.exempt(node.idx, sub)
+                            or _suppressed(table, sub.lineno)
                         ):
+                            continue
+                        # C1: a single-record charge inside the loop itself
+                        name = _call_name(sub)
+                        if name in SINGLE_CHARGES:
+                            findings.append(
+                                ChargeFinding(
+                                    info.path,
+                                    sub.lineno,
+                                    sub.col_offset,
+                                    f"per-record `{name}` inside a "
+                                    "kernel-path loop — hoist to one batched "
+                                    "charge_reads/charge_writes call "
+                                    "(vectorized-kernel contract), or move "
+                                    "the loop under a SLOW_REFERENCE branch",
+                                )
+                            )
+                            continue
+                        # C2: per-record helper invoked from inside a loop
+                        target = index.resolve_call(info, sub)
+                        if target is not None and per_record.get(target, False):
                             findings.append(
                                 ChargeFinding(
                                     info.path,

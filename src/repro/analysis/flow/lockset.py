@@ -6,8 +6,7 @@ and which blocking calls it may reach (directly or through callees).  The
 ``flow-lockset`` rule reports
 
 * a blocking call executed while a lock may be held — including calls
-  reached *through helper methods*, the known false-negative of the
-  syntactic ``lock-discipline`` rule; and
+  reached *through helper methods*, which no syntactic check can see; and
 * statically inferred lock-order cycles: acquiring B while holding A adds
   the edge A→B to the project lock-order graph (nested ``with`` or a call
   edge into a function that acquires), and any cycle in that graph is a
@@ -35,10 +34,12 @@ from .callgraph import FunctionInfo, ProjectIndex
 from .cfg import FOR, STMT, TEST, WITH_ENTER, WITH_EXIT, CFGNode, build_cfg
 from .solver import interprocedural_fixpoint, solve_forward
 
-#: constructions that make an attribute a lock (mirrors lint_rules)
+#: constructions that make an attribute a lock (lock-discipline shares it)
 LOCK_CTORS = ("Lock", "RLock", "Condition", "wrap_lock", "wrap_condition")
 
-#: calls that block the calling thread (mirrors lint_rules)
+#: calls that block the calling thread — holding a lock across one of these
+#: stalls every other thread contending for that lock (and invites deadlock
+#: when the blocked-on work needs the same lock to finish)
 BLOCKING_CALLS = (
     "result",
     "join",
@@ -244,15 +245,12 @@ class FnSummary:
 
 
 def _suppressed(suppressions: dict[int, set[str]] | None, line: int) -> bool:
-    """Is a blocking call waived at its own line?  Both the new rule name
-    and the subsumed ``lock-discipline`` name count — existing suppressions
-    keep working when the flow rule takes over."""
+    """Is a blocking call waived (``flow-lockset`` or blanket) at its own
+    line?"""
     if not suppressions:
         return False
     rules = suppressions.get(line)
-    return rules is not None and (
-        "*" in rules or "flow-lockset" in rules or "lock-discipline" in rules
-    )
+    return rules is not None and ("*" in rules or "flow-lockset" in rules)
 
 
 def compute_summaries(
@@ -296,14 +294,11 @@ def compute_summaries(
 def analyze_lockset(
     index: ProjectIndex,
     suppressions: dict[str, dict[int, set[str]]] | None = None,
-    paths: set[str] | None = None,
 ) -> LocksetResult:
     """Run the lockset analysis over the whole project.
 
     ``suppressions`` maps path → per-line suppression table (so deliberate,
     commented blocking sites drop out of both findings and summaries).
-    ``paths`` restricts *findings* to the given virtual paths; the order
-    graph is always project-wide.
     """
     suppressions = suppressions or {}
     model = build_lock_model(index)
@@ -314,7 +309,6 @@ def analyze_lockset(
 
     for qual in sorted(index.functions):
         info = index.functions[qual]
-        report_here = paths is None or info.path in paths
         cfg = build_cfg(info.node)
 
         def transfer(node, state, _info=info):
@@ -352,7 +346,7 @@ def analyze_lockset(
             for fragment in _executed_subtrees(node):
                 # direct blocking calls under a lock
                 for call, name in _blocking_calls_in(fragment, info, model):
-                    if report_here and not _suppressed(table, call.lineno):
+                    if not _suppressed(table, call.lineno):
                         findings.append(
                             LockFinding(
                                 info.path,
@@ -379,9 +373,7 @@ def analyze_lockset(
                                 order_edges.setdefault(
                                     (h, a), f"{info.path}:{sub.lineno}"
                                 )
-                    if summary.blocking and report_here and not _suppressed(
-                        table, sub.lineno
-                    ):
+                    if summary.blocking and not _suppressed(table, sub.lineno):
                         names = "/".join(sorted(summary.blocking))
                         findings.append(
                             LockFinding(
@@ -400,17 +392,16 @@ def analyze_lockset(
         witness = order_edges.get((cycle[0], cycle[1 % len(cycle)]), "")
         site_path = witness.rsplit(":", 1)[0] if witness else ""
         line = int(witness.rsplit(":", 1)[1]) if witness else 0
-        if paths is None or site_path in paths:
-            findings.append(
-                LockFinding(
-                    site_path,
-                    line,
-                    0,
-                    "statically inferred lock-order cycle: "
-                    + " -> ".join((*cycle, cycle[0]))
-                    + " — some interleaving of these acquisitions deadlocks",
-                )
+        findings.append(
+            LockFinding(
+                site_path,
+                line,
+                0,
+                "statically inferred lock-order cycle: "
+                + " -> ".join((*cycle, cycle[0]))
+                + " — some interleaving of these acquisitions deadlocks",
             )
+        )
 
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.message))
     return LocksetResult(findings, order_edges, cycles)

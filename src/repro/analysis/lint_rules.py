@@ -22,9 +22,16 @@ from .flow import (
     analyze_lockset,
     analyze_pairing,
     build_project_index,
-    flow_enabled,
 )
-from .reprolint import Finding, LintContext, ModuleSource, rule
+from .flow.lockset import LOCK_CTORS
+from .reprolint import (
+    Finding,
+    LintContext,
+    ModuleSource,
+    _collect_suppressions,
+    iter_python_files,
+    rule,
+)
 
 #: modules allowed to touch physical storage directly: the model itself,
 #: and the sanitizer layer whose whole job is auditing that storage
@@ -33,16 +40,10 @@ _UNCHARGED_IO_WHITELIST = ("src/repro/models/", "src/repro/analysis/")
 #: attributes that ARE the physical storage of the AEM simulation
 _PHYSICAL_ATTRS = ("_blocks", "_memory")
 
-#: modules whose loops are kernel paths (the PR-5 vectorization boundary)
-_LOOP_CHARGE_SCOPE = ("src/repro/core/",)
-
-#: single-record charge methods that must not appear in kernel-path loops
-_SINGLE_CHARGES = (
-    "charge_read",
-    "charge_write",
-    "charge_block_read",
-    "charge_block_write",
-)
+#: the paper's cost-model kernels: where charge placement is law, where
+#: block charges must reach a contracted entry, and where sealed zero-copy
+#: blocks live
+_CORE_SCOPE = ("src/repro/core/",)
 
 #: the lock-owning layers
 _LOCK_SCOPE_PREFIXES = (
@@ -52,29 +53,11 @@ _LOCK_SCOPE_PREFIXES = (
 )
 _LOCK_SCOPE_FILES = ("src/repro/planner/plan_cache.py",)
 
-#: calls that block the calling thread — holding a lock across one of these
-#: stalls every other thread contending for that lock (and invites deadlock
-#: when the blocked-on work needs the same lock to finish)
-_BLOCKING_CALLS = (
-    "result",
-    "join",
-    "sendall",
-    "recv",
-    "readline",
-    "accept",
-    "connect",
-    "sleep",
-)
-
 #: where the vectorized/slow-reference pins live
 _PARITY_TEST_FILE = "tests/test_kernel_parity.py"
 
 #: where the cost contracts are declared (parsed statically, never imported)
 _BOUNDCHECK_FILE = "src/repro/analysis/boundcheck.py"
-
-#: modules whose block-granularity charges must be reachable from a
-#: contracted kernel entry point
-_ORPHAN_CHARGE_SCOPE = ("src/repro/core/",)
 
 
 def _in_scope(module: ModuleSource, prefixes=(), files=()) -> bool:
@@ -110,64 +93,8 @@ def check_uncharged_io(module: ModuleSource, ctx: LintContext):
 
 
 # --------------------------------------------------------------------------- #
-# loop-charge
-# --------------------------------------------------------------------------- #
-def _under_slow_reference(module: ModuleSource, node: ast.AST) -> bool:
-    """True when the call sits in a deliberate record-at-a-time path: a
-    branch guarded on SLOW_REFERENCE or a function named for the slow
-    kernel.  Those paths charge per record *by contract* (they must be
-    I/O-identical to the historical implementation)."""
-    for anc in module.ancestors(node):
-        if isinstance(anc, ast.If) and "SLOW_REFERENCE" in module.segment(anc.test):
-            return True
-        if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            name = anc.name.lower()
-            if "slow" in name or "reference" in name:
-                return True
-    return False
-
-
-@rule(
-    "loop-charge",
-    "per-record charge calls inside kernel-path loops — use the batch "
-    "charge_reads/charge_writes API (PR-5 contract) unless the loop is a "
-    "slow_reference path",
-)
-def check_loop_charge(module: ModuleSource, ctx: LintContext):
-    if not _in_scope(module, prefixes=_LOOP_CHARGE_SCOPE):
-        return
-    for node in ast.walk(module.tree):
-        if not (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _SINGLE_CHARGES
-        ):
-            continue
-        in_loop = any(
-            isinstance(anc, (ast.For, ast.While)) for anc in module.ancestors(node)
-        )
-        if not in_loop or _under_slow_reference(module, node):
-            continue
-        yield Finding(
-            rule="loop-charge",
-            path=module.virtual_path,
-            line=node.lineno,
-            col=node.col_offset,
-            message=(
-                f"per-record `{node.func.attr}` inside a kernel-path loop — "
-                "hoist to one batched charge_reads/charge_writes call "
-                "(vectorized-kernel contract), or move the loop under a "
-                "SLOW_REFERENCE branch"
-            ),
-        )
-
-
-# --------------------------------------------------------------------------- #
 # lock-discipline
 # --------------------------------------------------------------------------- #
-_LOCK_CTORS = ("Lock", "RLock", "Condition", "wrap_lock", "wrap_condition")
-
-
 def _call_name(node: ast.AST) -> str:
     if isinstance(node, ast.Call):
         fn = node.func
@@ -216,7 +143,7 @@ def _lock_attrs_of_class(cls: ast.ClassDef) -> set[str]:
     for node in ast.walk(cls):
         if not isinstance(node, ast.Assign):
             continue
-        if _call_name(node.value) in _LOCK_CTORS:
+        if _call_name(node.value) in LOCK_CTORS:
             for target in node.targets:
                 attr = _self_attr(target)
                 if attr is not None:
@@ -239,19 +166,13 @@ def _held_locks(module: ModuleSource, node: ast.AST, lock_attrs: set[str]) -> se
 @rule(
     "lock-discipline",
     "in lock-owning classes (service layer, PlanCache): instance state must "
-    "be written under the lock; when the flow engine is disabled "
-    "(REPRO_LINT_NOFLOW) this rule also carries the syntactic "
-    "blocking-under-lock check that flow-lockset otherwise subsumes",
+    "be written under the lock (blocking under it is flow-lockset's check)",
 )
 def check_lock_discipline(module: ModuleSource, ctx: LintContext):
     if not _in_scope(
         module, prefixes=_LOCK_SCOPE_PREFIXES, files=_LOCK_SCOPE_FILES
     ):
         return
-    # the interprocedural flow-lockset rule subsumes the blocking-call half
-    # of this rule (and sees through helper indirection); the syntactic
-    # check stays available as a fallback when flow analysis is disabled
-    check_blocking = not flow_enabled()
     for cls in ast.walk(module.tree):
         if not isinstance(cls, ast.ClassDef):
             continue
@@ -259,69 +180,38 @@ def check_lock_discipline(module: ModuleSource, ctx: LintContext):
         if not lock_attrs:
             continue
         for node in ast.walk(cls):
-            # ---- unlocked writes to instance state -----------------------
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
-                )
-                written = [
-                    a for t in targets for a in _written_self_attrs(t)
-                ]
-                if not written:
-                    continue
-                fn = next(
-                    (
-                        a
-                        for a in module.ancestors(node)
-                        if isinstance(a, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    ),
-                    None,
-                )
-                if fn is None or fn.name == "__init__":
-                    continue  # construction is single-threaded by definition
-                if _held_locks(module, node, lock_attrs):
-                    continue
-                for attr in written:
-                    yield Finding(
-                        rule="lock-discipline",
-                        path=module.virtual_path,
-                        line=node.lineno,
-                        col=node.col_offset,
-                        message=(
-                            f"write to `self.{attr}` in "
-                            f"`{cls.name}.{fn.name}` outside "
-                            f"`with self.{'/'.join(sorted(lock_attrs))}:` — "
-                            "lock-owning classes must write instance state "
-                            "under their lock"
-                        ),
-                    )
-            # ---- blocking calls while holding the lock -------------------
-            # (fallback mode only — flow-lockset owns this check normally)
-            elif isinstance(node, ast.Call):
-                if not check_blocking:
-                    continue
-                name = _call_name(node)
-                if name not in _BLOCKING_CALLS:
-                    continue
-                # the condition's own wait/wait_for are how you block
-                # *correctly* under a lock, and notify is lock-internal
-                if isinstance(node.func, ast.Attribute):
-                    owner = _self_attr(node.func.value)
-                    if owner in lock_attrs:
-                        continue
-                held = _held_locks(module, node, lock_attrs)
-                if not held:
-                    continue
+            if not isinstance(node, (ast.Assign, ast.AugAssign)):
+                continue
+            targets = (
+                node.targets if isinstance(node, ast.Assign) else [node.target]
+            )
+            written = [a for t in targets for a in _written_self_attrs(t)]
+            if not written:
+                continue
+            fn = next(
+                (
+                    a
+                    for a in module.ancestors(node)
+                    if isinstance(a, (ast.FunctionDef, ast.AsyncFunctionDef))
+                ),
+                None,
+            )
+            if fn is None or fn.name == "__init__":
+                continue  # construction is single-threaded by definition
+            if _held_locks(module, node, lock_attrs):
+                continue
+            for attr in written:
                 yield Finding(
                     rule="lock-discipline",
                     path=module.virtual_path,
                     line=node.lineno,
                     col=node.col_offset,
                     message=(
-                        f"blocking call `{name}(...)` while holding "
-                        f"`self.{'/'.join(sorted(held))}` in `{cls.name}` — "
-                        "release the lock before blocking (or suppress with "
-                        "a comment explaining why holding it is the point)"
+                        f"write to `self.{attr}` in "
+                        f"`{cls.name}.{fn.name}` outside "
+                        f"`with self.{'/'.join(sorted(lock_attrs))}:` — "
+                        "lock-owning classes must write instance state "
+                        "under their lock"
                     ),
                 )
 
@@ -412,41 +302,42 @@ def check_kernel_parity(module: ModuleSource, ctx: LintContext):
 # --------------------------------------------------------------------------- #
 # missing-cost-contract
 # --------------------------------------------------------------------------- #
-def _declared_contracts(ctx: LintContext) -> dict | None:
+def _parse_declared_contracts(text: str | None) -> dict | None:
     """``kernel -> theorem`` parsed from the ``declare_contract(...)`` calls
     in boundcheck.py (None when the file is unreadable/unparseable).  The
-    declarations use literal names precisely so this never imports anything;
-    cached on the run's context."""
-    sentinel = getattr(ctx, "_declared_contracts_cache", False)
-    if sentinel is not False:
-        return sentinel
-    declared = None
-    text = ctx.read_file(_BOUNDCHECK_FILE)
-    if text is not None:
-        try:
-            tree = ast.parse(text, filename=_BOUNDCHECK_FILE)
-        except SyntaxError:
-            tree = None
-        if tree is not None:
-            declared = {}
-            for node in ast.walk(tree):
-                if not (
-                    isinstance(node, ast.Call)
-                    and _call_name(node) == "declare_contract"
-                    and node.args
-                    and isinstance(node.args[0], ast.Constant)
-                    and isinstance(node.args[0].value, str)
-                ):
-                    continue
-                for kw in node.keywords:
-                    if (
-                        kw.arg == "theorem"
-                        and isinstance(kw.value, ast.Constant)
-                        and isinstance(kw.value.value, str)
-                    ):
-                        declared[node.args[0].value] = kw.value.value
-    ctx._declared_contracts_cache = declared
+    declarations use literal names precisely so this never imports
+    anything."""
+    if text is None:
+        return None
+    try:
+        tree = ast.parse(text, filename=_BOUNDCHECK_FILE)
+    except SyntaxError:
+        return None
+    declared = {}
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and _call_name(node) == "declare_contract"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str)
+        ):
+            continue
+        for kw in node.keywords:
+            if (
+                kw.arg == "theorem"
+                and isinstance(kw.value, ast.Constant)
+                and isinstance(kw.value.value, str)
+            ):
+                declared[node.args[0].value] = kw.value.value
     return declared
+
+
+def _declared_contracts(ctx: LintContext) -> dict | None:
+    return ctx.memo(
+        "declared_contracts",
+        lambda: _parse_declared_contracts(ctx.read_file(_BOUNDCHECK_FILE)),
+    )
 
 
 @rule(
@@ -547,25 +438,22 @@ def check_missing_cost_contract(module: ModuleSource, ctx: LintContext):
 # --------------------------------------------------------------------------- #
 # orphan-charge
 # --------------------------------------------------------------------------- #
-def _charge_base_summaries(ctx: LintContext) -> dict:
-    """Charge-map summaries of the real in-scope tree, cached per run."""
-    cached = getattr(ctx, "_charge_summaries_cache", None)
-    if cached is not None:
-        return cached
-    from .boundcheck import charge_scope_files, summarize_source
+def _charge_map(ctx: LintContext):
+    """The run's one charge-site map: the real charge scope with the core
+    overlays spliced in."""
+    from .boundcheck import charge_site_map
 
-    summaries = {}
-    for rel in charge_scope_files(ctx.root):
-        text = ctx.read_file(rel)
-        if text is None:
-            continue
-        try:
-            tree = ast.parse(text, filename=rel)
-        except SyntaxError:
-            continue
-        summaries[rel] = summarize_source(rel, tree)
-    ctx._charge_summaries_cache = summaries
-    return summaries
+    return ctx.memo(
+        "charge_map",
+        lambda: charge_site_map(
+            ctx.root,
+            extra_sources={
+                vp: text
+                for vp, text in ctx.overlays.items()
+                if vp.startswith(_CORE_SCOPE)
+            },
+        ),
+    )
 
 
 @rule(
@@ -575,18 +463,9 @@ def _charge_base_summaries(ctx: LintContext) -> dict:
     "cost accounting no certificate ever exercises",
 )
 def check_orphan_charge(module: ModuleSource, ctx: LintContext):
-    if not _in_scope(module, prefixes=_ORPHAN_CHARGE_SCOPE):
+    if not _in_scope(module, prefixes=_CORE_SCOPE):
         return
-    from .boundcheck import analyze_summaries, summarize_source
-
-    summaries = dict(_charge_base_summaries(ctx))
-    # overlay the module under lint (it may exist only as corpus text, or
-    # be an edited version of a real file)
-    summaries[module.virtual_path] = summarize_source(
-        module.virtual_path, module.tree
-    )
-    charge_map = analyze_summaries(list(summaries.values()))
-    for site in charge_map.orphans:
+    for site in _charge_map(ctx).orphans:
         if site.path != module.virtual_path:
             continue
         yield Finding(
@@ -652,100 +531,62 @@ def check_bench_emit(module: ModuleSource, ctx: LintContext):
 # CFG-backed flow rules (interprocedural engine in repro.analysis.flow)
 # --------------------------------------------------------------------------- #
 #: all pairing checks apply inside the package; tickets only matter in the
-#: service layer, sealed blocks only in core
+#: service layer
 _RESOURCE_SCOPE = ("src/repro/",)
 _TICKET_SCOPE = ("src/repro/service/",)
-_SEALED_SCOPE = ("src/repro/core/",)
 
 
-def _flow_sources(ctx: LintContext) -> dict[str, str]:
-    """``relpath → text`` for every module under src/repro, cached per run."""
-    cached = getattr(ctx, "_flow_sources_cache", None)
-    if cached is not None:
-        return cached
-    sources: dict[str, str] = {}
-    pkg_root = os.path.join(ctx.root, "src", "repro")
-    for dirpath, dirnames, filenames in os.walk(pkg_root):
-        dirnames[:] = sorted(
-            d for d in dirnames if not d.startswith(".") and d != "__pycache__"
-        )
-        for fn in sorted(filenames):
-            if not fn.endswith(".py"):
-                continue
-            rel = os.path.relpath(
-                os.path.join(dirpath, fn), ctx.root
-            ).replace(os.sep, "/")
+def flow_sources(ctx: LintContext) -> dict[str, str]:
+    """``relpath → text`` for every module under src/repro, with the run's
+    overlays spliced in over the real files — what the flow analyses index."""
+
+    def collect() -> dict[str, str]:
+        sources: dict[str, str] = {}
+        pkg_root = os.path.join(ctx.root, "src", "repro")
+        for full in iter_python_files([pkg_root]):
+            rel = os.path.relpath(full, ctx.root).replace(os.sep, "/")
             text = ctx.read_file(rel)
             if text is not None:
                 sources[rel] = text
-    ctx._flow_sources_cache = sources
-    return sources
+        sources.update(ctx.overlays)
+        return sources
+
+    return ctx.memo("flow_sources", collect)
 
 
-def _flow_suppressions(ctx: LintContext) -> dict[str, dict[int, set[str]]]:
+def flow_suppressions(ctx: LintContext) -> dict[str, dict[int, set[str]]]:
     """Per-line suppression tables for every project module (the analyses
     honor them inside summaries, not just at report time)."""
-    cached = getattr(ctx, "_flow_suppressions_cache", None)
-    if cached is not None:
-        return cached
-    from .reprolint import _collect_suppressions
-
-    tables = {
-        rel: _collect_suppressions(text.splitlines())
-        for rel, text in _flow_sources(ctx).items()
-    }
-    ctx._flow_suppressions_cache = tables
-    return tables
+    return ctx.memo(
+        "flow_suppressions",
+        lambda: {
+            rel: _collect_suppressions(text.splitlines())
+            for rel, text in flow_sources(ctx).items()
+        },
+    )
 
 
-def _flow_base_index(ctx: LintContext):
-    cached = getattr(ctx, "_flow_index_cache", None)
-    if cached is None:
-        cached = build_project_index(_flow_sources(ctx))
-        ctx._flow_index_cache = cached
-    return cached
+def flow_index(ctx: LintContext):
+    """The run's one project index and call graph."""
+    return ctx.memo(
+        "flow_index", lambda: build_project_index(flow_sources(ctx))
+    )
 
 
-def _module_is_overlay(module: ModuleSource, ctx: LintContext) -> bool:
-    """True when the module under lint is NOT byte-identical to the indexed
-    project file at its virtual path (corpus fixture or edited tree)."""
-    sources = _flow_sources(ctx)
-    vp = module.virtual_path
-    return vp not in sources or sources[vp] != module.text
+def flow_lockset_result(ctx: LintContext):
+    """The run's one whole-project lockset analysis."""
+    return ctx.memo(
+        "flow_lockset",
+        lambda: analyze_lockset(flow_index(ctx), flow_suppressions(ctx)),
+    )
 
 
-def _flow_lockset_result(module: ModuleSource, ctx: LintContext):
-    """Whole-project lockset result, cached for the common (non-overlay)
-    case; overlays re-run the analysis with the module's tree spliced in."""
-    if not _module_is_overlay(module, ctx):
-        cached = getattr(ctx, "_flow_lockset_cache", None)
-        if cached is None:
-            cached = analyze_lockset(
-                _flow_base_index(ctx), _flow_suppressions(ctx)
-            )
-            ctx._flow_lockset_cache = cached
-        return cached
-    vp = module.virtual_path
-    index = build_project_index(_flow_sources(ctx), extra={vp: module.tree})
-    suppressions = dict(_flow_suppressions(ctx))
-    suppressions[vp] = module.suppressions
-    return analyze_lockset(index, suppressions, paths={vp})
-
-
-def _flow_charge_findings(module: ModuleSource, ctx: LintContext):
-    if not _module_is_overlay(module, ctx):
-        cached = getattr(ctx, "_flow_charges_cache", None)
-        if cached is None:
-            cached = analyze_charges(
-                _flow_base_index(ctx), _flow_suppressions(ctx)
-            )
-            ctx._flow_charges_cache = cached
-        return cached
-    vp = module.virtual_path
-    index = build_project_index(_flow_sources(ctx), extra={vp: module.tree})
-    suppressions = dict(_flow_suppressions(ctx))
-    suppressions[vp] = module.suppressions
-    return analyze_charges(index, suppressions, paths={vp})
+def flow_charge_findings(ctx: LintContext):
+    """The run's one whole-project charge-placement analysis."""
+    return ctx.memo(
+        "flow_charges",
+        lambda: analyze_charges(flow_index(ctx), flow_suppressions(ctx)),
+    )
 
 
 @rule(
@@ -759,14 +600,11 @@ def check_flow_lockset(module: ModuleSource, ctx: LintContext):
     """Forward may-hold-lock dataflow per function plus call-graph
     summaries; also exports the static lock-order graph the test suite
     cross-validates against locksan's dynamic observations."""
-    if not flow_enabled():
-        return
     if not _in_scope(
         module, prefixes=_LOCK_SCOPE_PREFIXES, files=_LOCK_SCOPE_FILES
     ):
         return
-    result = _flow_lockset_result(module, ctx)
-    for f in result.findings:
+    for f in flow_lockset_result(ctx).findings:
         if f.path != module.virtual_path:
             continue
         yield Finding(
@@ -789,15 +627,13 @@ def check_flow_resource(module: ModuleSource, ctx: LintContext):
     """Forward may-open resource analysis per function — gen at the
     acquiring node, kill at release/escape, leak = open resource reaching
     an exit the discipline covers."""
-    if not flow_enabled():
-        return
     vp = module.virtual_path
     if not vp.startswith(_RESOURCE_SCOPE):
         return
     for kind, f in analyze_pairing(
         module.tree,
         check_tickets=vp.startswith(_TICKET_SCOPE),
-        check_sealed=vp.startswith(_SEALED_SCOPE),
+        check_sealed=vp.startswith(_CORE_SCOPE),
     ):
         yield Finding(
             rule="flow-resource",
@@ -810,20 +646,18 @@ def check_flow_resource(module: ModuleSource, ctx: LintContext):
 
 @rule(
     "flow-charge",
-    "charge placement by dominance: manual block loops in core must be "
-    "dominated by an aggregate charge_*(n) at the same loop-nest depth, "
-    "and no call chain may reach a bare per-record charge_*() from inside "
-    "a loop (the helper-indirection gap of loop-charge)",
+    "charge placement in core kernels: no per-record charge_*() inside a "
+    "loop (directly or through a call chain) outside slow_reference paths, "
+    "and manual block loops must be dominated by an aggregate charge_*(n) "
+    "at the same loop-nest depth",
 )
 def check_flow_charge(module: ModuleSource, ctx: LintContext):
-    """Dominator-based deepening of loop-charge, interprocedural via
+    """Loop depth and dominance come from the CFG, interprocedural via
     per-record summaries over the call graph; SLOW_REFERENCE regions are
     exempt by dominance, not just syntactic containment."""
-    if not flow_enabled():
+    if not _in_scope(module, prefixes=_CORE_SCOPE):
         return
-    if not _in_scope(module, prefixes=_LOOP_CHARGE_SCOPE):
-        return
-    for f in _flow_charge_findings(module, ctx):
+    for f in flow_charge_findings(ctx):
         if f.path != module.virtual_path:
             continue
         yield Finding(

@@ -26,13 +26,16 @@ pair it with a prose comment saying why.
 Virtual paths
 -------------
 Most rules are scoped to parts of the tree (the lock rules to the service
-layer, the loop rule to the kernel paths).  Scoping keys off the file's
+layer, the charge rules to the kernel paths).  Scoping keys off the file's
 repo-relative path; a file may override it with a first-lines pragma::
 
     # reprolint: path=src/repro/service/example.py
 
 which exists so the planted-violation corpus under ``tests/lint_corpus/``
-can opt into any rule's scope while living outside it.
+can opt into any rule's scope while living outside it.  A linted file
+whose virtual path lies under ``src/repro/`` and whose text differs from
+the real file there is an *overlay*: the run's one project-wide analysis
+indexes it in place of the real module.
 
 Exit codes: 0 — clean (after baseline filtering), 1 — findings, 2 — usage
 or parse error.
@@ -44,9 +47,10 @@ The CLI keeps an mtime-keyed findings cache (default
 relocates) so the CI lint gate stays fast as the tree grows: a file is
 re-analyzed only when its ``(mtime_ns, size)`` changes or the *environment
 fingerprint* — the rule set plus every cross-file input the rules read
-(the parity test, boundcheck.py, the core tree, the rules themselves) —
-changes.  ``--jobs N`` shards stale files across N worker processes.
-Library calls to :func:`lint_paths` default to no cache and one process.
+(the parity test, boundcheck.py, the core tree, the rules themselves, the
+run's overlays) — changes.  ``--jobs N`` shards stale files across N
+worker processes.  Library calls to :func:`lint_paths` default to no cache
+and one process.
 """
 
 from __future__ import annotations
@@ -144,11 +148,23 @@ def _collect_suppressions(lines: list[str]) -> dict[int, set[str]]:
 
 
 class LintContext:
-    """Cross-file state shared by one lint run (cached reads, repo root)."""
+    """Cross-file state shared by one lint run: the repo root, cached reads,
+    the project-wide results every module's rules filter, and the linted
+    modules those results must see in place of the real tree."""
 
-    def __init__(self, root: str = "."):
+    def __init__(self, root: str = ".", overlays: dict[str, str] | None = None):
         self.root = os.path.abspath(root)
+        #: virtual path → text of each linted module under ``src/repro/``
+        #: that differs from the real file there (see :func:`project_overlays`)
+        self.overlays = dict(overlays or {})
         self._file_cache: dict[str, str | None] = {}
+        self._memo: dict[str, object] = {}
+
+    def memo(self, key: str, compute: Callable[[], object]):
+        """``compute()`` once per run under ``key``, then its cached value."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     def read_file(self, relpath: str) -> str | None:
         """Text of a repo file by root-relative path, or None (cached)."""
@@ -210,15 +226,40 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
                         yield full
 
 
+#: the package the project-wide (flow, charge-map) analyses index
+PROJECT_PREFIX = "src/repro/"
+
+
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def project_overlays(files: Iterable[str], root: str = ".") -> dict[str, str]:
+    """``virtual path → text`` of every file in ``files`` whose virtual path
+    lies under ``src/repro/`` and whose text differs from the real file at
+    that path (corpus fixtures, edited copies).  One lint run indexes the
+    project once with all of them spliced in, and every worker of a
+    sharded run splices the same set, so findings never depend on which
+    files share a shard."""
+    ctx = LintContext(root)
+    overlays: dict[str, str] = {}
+    for path in files:
+        text = _read_text(path)
+        rel = os.path.relpath(path, ctx.root).replace(os.sep, "/")
+        vp = _find_path_pragma(text.splitlines()[:5]) or rel
+        if vp.startswith(PROJECT_PREFIX) and ctx.read_file(vp) != text:
+            overlays[vp] = text
+    return overlays
+
+
 def lint_file(
     path: str,
     ctx: LintContext,
     rules: Iterable[Rule] | None = None,
 ) -> list[Finding]:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
     rel = os.path.relpath(path, ctx.root).replace(os.sep, "/")
-    module = ModuleSource(rel, text)
+    module = ModuleSource(rel, _read_text(path))
     findings: list[Finding] = []
     for r in rules if rules is not None else RULES.values():
         for f in r.check(module, ctx):
@@ -238,11 +279,15 @@ def lint_paths(
 ) -> list[Finding]:
     """Lint every ``.py`` file under ``paths`` with all (or named) rules.
 
-    ``cache_path`` names an mtime-keyed findings cache: files whose
-    ``(mtime_ns, size)`` signature matches the cache (under an unchanged
-    environment fingerprint — see :func:`_env_fingerprint`) reuse their
-    stored findings without re-parsing.  ``jobs > 1`` shards the stale
-    files across worker processes.  ``stats``, if given, is populated with
+    The project-wide analyses run once per run (once per worker when
+    sharded) over ``src/repro`` with the linted overlays spliced in (see
+    :func:`project_overlays`); each module's rules report the findings at
+    its own virtual path.  ``cache_path`` names an mtime-keyed findings
+    cache: files whose ``(mtime_ns, size)`` signature matches the cache
+    (under an unchanged environment fingerprint — see
+    :func:`_env_fingerprint`) reuse their stored findings without
+    re-parsing.  ``jobs > 1`` shards the stale files across worker
+    processes.  ``stats``, if given, is populated with
     ``{"files", "cached", "linted", "jobs"}`` counters for reporting.
     """
     # importing the rules module populates RULES as a side effect
@@ -257,8 +302,10 @@ def lint_paths(
         selected = [RULES[name] for name in rules]
     rule_names = [r.name for r in selected]
 
+    root = os.path.abspath(root)  # one cache fingerprint however spelled
     files = list(iter_python_files(paths))
-    fingerprint = _env_fingerprint(root, rule_names)
+    overlays = project_overlays(files, root)
+    fingerprint = _env_fingerprint(root, rule_names, overlays)
     cached_findings: dict[str, list[Finding]] = {}
     signatures: dict[str, tuple[int, int] | None] = {
         os.path.abspath(p): _stat_signature(p) for p in files
@@ -279,9 +326,9 @@ def lint_paths(
     stale = [p for p in files if os.path.abspath(p) not in cached_findings]
     fresh: dict[str, list[Finding]]
     if jobs > 1 and len(stale) > 1:
-        fresh = _lint_parallel(stale, root, rule_names, jobs)
+        fresh = _lint_parallel(stale, root, rule_names, jobs, overlays)
     else:
-        ctx = LintContext(root)
+        ctx = LintContext(root, overlays)
         fresh = {
             os.path.abspath(p): lint_file(p, ctx, selected) for p in stale
         }
@@ -366,34 +413,33 @@ def _analysis_content_hash(root: str) -> str:
     the fingerprint reads the bytes."""
     h = hashlib.sha256()
     pkg = os.path.join(root, "src", "repro", "analysis")
-    for dirpath, dirnames, filenames in os.walk(pkg):
-        dirnames[:] = sorted(
-            d for d in dirnames if not d.startswith(".") and d != "__pycache__"
-        )
-        for fn in sorted(filenames):
-            if not fn.endswith(".py"):
-                continue
-            full = os.path.join(dirpath, fn)
-            h.update(b"\0file:" + os.path.relpath(full, pkg).encode())
-            try:
-                with open(full, "rb") as fh:
-                    h.update(fh.read())
-            except OSError:
-                h.update(b"<unreadable>")
+    for full in iter_python_files([pkg]):
+        h.update(b"\0file:" + os.path.relpath(full, pkg).encode())
+        try:
+            with open(full, "rb") as fh:
+                h.update(fh.read())
+        except OSError:
+            h.update(b"<unreadable>")
     return h.hexdigest()
 
 
-def _env_fingerprint(root: str, rule_names: Iterable[str]) -> str:
+def _env_fingerprint(
+    root: str, rule_names: Iterable[str], overlays: dict[str, str]
+) -> str:
     """Hash of everything that can change findings besides the linted file
     itself: cache format, interpreter version (AST shapes and analysis
     results can differ across Pythons), active rule set, the analysis
-    package's own content, and cross-file dependency signatures."""
+    package's own content, the overlays spliced into the analyzed project,
+    and cross-file dependency signatures."""
     h = hashlib.sha256()
     h.update(f"v{CACHE_VERSION}".encode())
     h.update(b"\0python:" + sys.version.encode())
     h.update(b"\0analysis:" + _analysis_content_hash(root).encode())
     for name in sorted(rule_names):
         h.update(b"\0rule:" + name.encode())
+    for vp, text in sorted(overlays.items()):
+        h.update(b"\0overlay:" + vp.encode())
+        h.update(hashlib.sha256(text.encode()).digest())
     for dep in _cache_dependencies(root):
         h.update(b"\0dep:" + dep.encode())
         h.update(repr(_stat_signature(dep)).encode())
@@ -428,13 +474,15 @@ def _save_cache(path: str, fingerprint: str, entries: dict) -> None:
             pass
 
 
-def _lint_files_chunk(task: tuple[list[str], str, list[str]]) -> list[tuple]:
-    """Worker-process entry: lint one chunk of files, return picklable pairs
-    of ``(abspath, [finding dict, ...])``."""
-    paths, root, rule_names = task
+def _lint_files_chunk(
+    task: tuple[list[str], str, list[str], dict[str, str]]
+) -> list[tuple]:
+    """Worker-process entry: lint one chunk of files against the run's full
+    overlay set, return picklable pairs of ``(abspath, [finding dict, ...])``."""
+    paths, root, rule_names, overlays = task
     from . import lint_rules  # noqa: F401  (populate RULES in the worker)
 
-    ctx = LintContext(root)
+    ctx = LintContext(root, overlays)
     selected = [RULES[name] for name in rule_names]
     out = []
     for path in paths:
@@ -444,14 +492,18 @@ def _lint_files_chunk(task: tuple[list[str], str, list[str]]) -> list[tuple]:
 
 
 def _lint_parallel(
-    paths: list[str], root: str, rule_names: list[str], jobs: int
+    paths: list[str],
+    root: str,
+    rule_names: list[str],
+    jobs: int,
+    overlays: dict[str, str],
 ) -> dict[str, list[Finding]]:
     """Shard ``paths`` round-robin across ``jobs`` worker processes."""
     import concurrent.futures
 
     jobs = max(1, min(jobs, len(paths)))
     chunks = [paths[i::jobs] for i in range(jobs)]
-    tasks = [(chunk, root, rule_names) for chunk in chunks if chunk]
+    tasks = [(chunk, root, rule_names, overlays) for chunk in chunks if chunk]
     results: dict[str, list[Finding]] = {}
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         for pairs in pool.map(_lint_files_chunk, tasks):
@@ -528,12 +580,11 @@ def _explain_rule(name: str, out) -> int:
 
 def _dump_graphs(root: str, outdir: str, out) -> int:
     """Write callgraph.json and lock_order.json (the CI artifacts)."""
-    from .flow import analyze_lockset, build_project_index
-    from .lint_rules import _flow_sources, _flow_suppressions
+    from .lint_rules import flow_index, flow_lockset_result
 
     ctx = LintContext(root)
-    index = build_project_index(_flow_sources(ctx))
-    result = analyze_lockset(index, _flow_suppressions(ctx))
+    index = flow_index(ctx)
+    result = flow_lockset_result(ctx)
     try:
         os.makedirs(outdir, exist_ok=True)
         cg_path = os.path.join(outdir, "callgraph.json")

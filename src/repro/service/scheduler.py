@@ -547,15 +547,17 @@ class SortService:
         future.plan_stats = (worker, hits, misses)
         future.wall_seconds = wall
         future.cpu_seconds = wall if cpu is None else cpu
-        if error is not None:
-            future.set_exception(error)
-        else:
-            future.set_result(result)
+        # publish the counters first: a waiter or done-callback that reads
+        # stats() the moment its future resolves must see its own job
         with self._cond:
             self.completed += 1
             self.busy_seconds += wall
             if error is None:
                 self.records_sorted += records
+        if error is not None:
+            future.set_exception(error)
+        else:
+            future.set_result(result)
 
     def _thread_worker(self, index: int) -> None:
         while True:

@@ -559,8 +559,8 @@ class ServiceClient:
             if deadline is not None:
                 self._sock.settimeout(deadline)
             try:
-                self._sock.sendall(line.encode("utf-8"))  # reprolint: disable=lock-discipline
-                reply = self._rfile.readline()  # reprolint: disable=lock-discipline
+                self._sock.sendall(line.encode("utf-8"))  # reprolint: disable=flow-lockset
+                reply = self._rfile.readline()  # reprolint: disable=flow-lockset
             except socket.timeout as exc:
                 raise TimeoutError(
                     f"no reply within {deadline}s for op {payload.get('op')!r}"

@@ -8,9 +8,14 @@ processes too).
 
 from __future__ import annotations
 
+import dataclasses
+import os
+
 import pytest
 
 from repro.models import AEMachine, CacheSim, CostCounter, MachineParams
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def pytest_addoption(parser):
@@ -57,3 +62,24 @@ def cache(params) -> CacheSim:
 @pytest.fixture
 def counter() -> CostCounter:
     return CostCounter()
+
+
+@dataclasses.dataclass(frozen=True)
+class RealTree:
+    """The real tree's lint context with its one project-wide analysis."""
+
+    ctx: object  # repro.analysis.reprolint.LintContext
+    index: object  # repro.analysis.flow.ProjectIndex
+    lockset: object  # repro.analysis.flow.LocksetResult
+
+
+@pytest.fixture(scope="session")
+def real_tree() -> RealTree:
+    """Index and lockset-analyze ``src/repro`` once per session.  ``ctx``
+    memoizes every project-wide result, so linting real files through it
+    reuses this analysis instead of rebuilding it."""
+    from repro.analysis.lint_rules import flow_index, flow_lockset_result
+    from repro.analysis.reprolint import LintContext
+
+    ctx = LintContext(REPO)
+    return RealTree(ctx, flow_index(ctx), flow_lockset_result(ctx))

@@ -1,11 +1,11 @@
 # reprolint: path=src/repro/core/corpus_flow_charge.py
 """Planted violations: flow-charge (3 findings).
 
-One per capability the CFG-backed rule adds over syntactic loop-charge:
-an uncharged manual block loop (C3), a charge that textually precedes
-the loop but does not *dominate* it (C3, the branch case), and a
-per-record helper reached through a call edge (C2 — the helper
-indirection the old rule cannot see).  ``aem_mergesort`` shares its name
+One per capability beyond a per-record charge literally inside a loop
+(``loop_charge.py``): an uncharged manual block loop (C3), a charge that
+textually precedes the loop but does not *dominate* it (C3, the branch
+case), and a per-record helper reached through a call edge (C2 — the
+helper indirection).  ``aem_mergesort`` shares its name
 with a contracted entry symbol so every helper is charge-map-reachable
 and orphan-charge stays silent here.
 """

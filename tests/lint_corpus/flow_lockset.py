@@ -1,8 +1,8 @@
 # reprolint: path=src/repro/service/corpus_flow_lockset.py
 """Planted violations: flow-lockset (3 findings) + flow-resource (1).
 
-The lockset findings exercise exactly what the syntactic lock-discipline
-rule cannot see: blocking reached *through a helper method*, and a
+The lockset findings exercise exactly what no syntactic check can
+see: blocking reached *through a helper method*, and a
 lock-order cycle spread across two methods.  The ticket finding rides
 along because discarding a registry ticket is a service-layer pattern.
 """
@@ -55,8 +55,8 @@ class HelperBlocker:
 
     def deliberate_wait(self):
         with self._cond:
-            # OK: suppressed in both modes — handshake sleeps while held
-            time.sleep(0.001)  # reprolint: disable=flow-lockset,lock-discipline
+            # OK: suppressed — handshake sleeps while held
+            time.sleep(0.001)  # reprolint: disable=flow-lockset
 
     def register_and_forget(self, fut):
         # VIOLATION (flow-resource): the ticket _register returns is the

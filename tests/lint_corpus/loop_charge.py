@@ -1,5 +1,5 @@
 # reprolint: path=src/repro/core/corpus_loop_charge.py
-"""Planted violations: loop-charge (2 findings).
+"""Planted violations: per-record loop charges, via flow-charge (2 findings).
 
 ``aem_mergesort`` below shares its name with a contracted entry symbol so
 every helper here is charge-map-reachable — orphan-charge (exercised by
@@ -56,4 +56,4 @@ def _merge_slow_reference(machine, arr):
 
 def waived(machine, arr):
     for bi in range(arr.num_blocks):
-        machine.counter.charge_block_read()  # reprolint: disable=loop-charge
+        machine.counter.charge_block_read()  # reprolint: disable=flow-charge

@@ -405,11 +405,18 @@ class TestCallGraph:
         edges = index.edges["repro.corp.service:Service.through_attr"]
         assert "repro.corp.service:Engine.run" in edges
 
-    def test_overlay_replaces_module(self):
-        replaced = ast.parse("def top():\n    return 99\n")
-        index = build_project_index(
-            {"src/repro/corp/helpers.py": HELPERS_SRC},
-            extra={"src/repro/corp/helpers.py": replaced},
+    def test_overlay_replaces_module(self, tmp_path):
+        # a lint run indexes its overlay text in place of the real module
+        # at the same virtual path
+        from repro.analysis.lint_rules import flow_index
+        from repro.analysis.reprolint import LintContext
+
+        corp = tmp_path / "src" / "repro" / "corp"
+        corp.mkdir(parents=True)
+        (corp / "helpers.py").write_text(HELPERS_SRC)
+        ctx = LintContext(
+            str(tmp_path),
+            overlays={"src/repro/corp/helpers.py": "def top():\n    return 99\n"},
         )
-        info = index.functions["repro.corp.helpers:top"]
+        info = flow_index(ctx).functions["repro.corp.helpers:top"]
         assert info.node.body[0].value.value == 99

@@ -20,8 +20,7 @@ from repro.analysis.flow import (
     analyze_pairing,
     build_project_index,
 )
-from repro.analysis.lint_rules import _flow_sources, _flow_suppressions
-from repro.analysis.reprolint import LintContext
+from repro.analysis.lint_rules import flow_charge_findings
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -243,15 +242,8 @@ class TestCharges:
         assert analyze_charges(index) == []
 
 
-def _normalized_static_edges() -> set[tuple[str, str]]:
-    ctx = LintContext(REPO)
-    index = build_project_index(_flow_sources(ctx))
-    result = analyze_lockset(index, _flow_suppressions(ctx))
-    return set(result.order_edges)
-
-
 class TestStaticDynamicCrossCheck:
-    def test_static_covers_stress_suite_edges(self, tmp_path):
+    def test_static_covers_stress_suite_edges(self, tmp_path, real_tree):
         """Acceptance: every lock-order edge locksan observes while running
         the service stress suite appears in the static order graph."""
         dump = str(tmp_path / "locksan.json")
@@ -273,7 +265,7 @@ class TestStaticDynamicCrossCheck:
         payload = json.load(open(dump))
         assert payload["violations"] == []
         dynamic = {(e["held"], e["acquired"]) for e in payload["edges"]}
-        assert dynamic <= _normalized_static_edges()
+        assert dynamic <= set(real_tree.lockset.order_edges)
 
     def test_superset_machinery_is_not_vacuous(self):
         """Nest two recorded locks at runtime and statically analyze the
@@ -330,19 +322,13 @@ class TestStaticDynamicCrossCheck:
 
 
 class TestRealTree:
-    def test_real_tree_flow_findings_are_zero(self):
-        ctx = LintContext(REPO)
-        sources = _flow_sources(ctx)
-        suppressions = _flow_suppressions(ctx)
-        index = build_project_index(sources)
-        lockset = analyze_lockset(index, suppressions)
-        assert lockset.findings == []
-        assert lockset.cycles == []
-        charges = analyze_charges(index, suppressions)
-        assert charges == []
+    def test_real_tree_flow_findings_are_zero(self, real_tree):
+        assert real_tree.lockset.findings == []
+        assert real_tree.lockset.cycles == []
+        assert flow_charge_findings(real_tree.ctx) == []
 
-    def test_real_tree_order_graph_is_acyclic(self):
-        edges = _normalized_static_edges()
+    def test_real_tree_order_graph_is_acyclic(self, real_tree):
+        edges = set(real_tree.lockset.order_edges)
         # Kahn: the static order graph must admit a global lock order
         nodes = {n for e in edges for n in e}
         out = {n: {b for a, b in edges if a == n} for n in nodes}

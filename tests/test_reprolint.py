@@ -19,9 +19,11 @@ from repro.analysis.reprolint import (
     ModuleSource,
     filter_baseline,
     iter_python_files,
+    lint_file,
     lint_paths,
     load_baseline,
     main,
+    project_overlays,
     save_baseline,
 )
 
@@ -29,8 +31,14 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS = os.path.join(REPO, "tests", "lint_corpus")
 
 
-def lint_corpus_file(name: str) -> list[Finding]:
-    return lint_paths([os.path.join(CORPUS, name)], root=REPO)
+@pytest.fixture(scope="module")
+def corpus() -> dict[str, list[Finding]]:
+    """Each corpus file's findings, keyed by file name, from one lint run
+    over the whole corpus (so one project-wide flow analysis), in the
+    order ``lint_paths`` reports them."""
+    files = list(iter_python_files([CORPUS]))
+    ctx = LintContext(REPO, project_overlays(files, REPO))
+    return {os.path.basename(p): lint_file(p, ctx) for p in files}
 
 
 def rules_of(findings) -> list[str]:
@@ -41,7 +49,6 @@ class TestFramework:
     def test_all_rules_registered(self):
         assert set(RULES) == {
             "uncharged-io",
-            "loop-charge",
             "lock-discipline",
             "kernel-parity",
             "missing-cost-contract",
@@ -71,7 +78,7 @@ class TestFramework:
             "c = 3\n",
         )
         assert m.suppressed("uncharged-io", 1)
-        assert not m.suppressed("loop-charge", 1)
+        assert not m.suppressed("flow-charge", 1)
         assert m.suppressed("anything", 2)
         assert not m.suppressed("uncharged-io", 3)
 
@@ -89,25 +96,28 @@ class TestFramework:
 
 
 class TestCorpus:
-    def test_uncharged_io_fires(self):
-        findings = lint_corpus_file("uncharged_io.py")
+    def test_uncharged_io_fires(self, corpus):
+        findings = corpus["uncharged_io.py"]
         assert rules_of(findings) == ["uncharged-io"] * 2
         assert {"_blocks", "_memory"} == {
             "_memory" if "_memory" in f.message else "_blocks" for f in findings
         }
 
-    def test_loop_charge_fires_and_exempts_slow_paths(self):
-        findings = lint_corpus_file("loop_charge.py")
-        assert rules_of(findings) == ["loop-charge"] * 2
-        # the SLOW_REFERENCE branch and the *_slow_reference function hold
-        # identical loops that must NOT fire
-        assert all("charge_block_read" in f.message or "charge_write" in f.message
-                   for f in findings)
+    def test_loop_charge_fires_and_exempts_slow_paths(self, corpus):
+        # per-record charges inside a loop are flow-charge's direct check
+        findings = corpus["loop_charge.py"]
+        assert rules_of(findings) == ["flow-charge"] * 2
+        assert all("per-record" in f.message for f in findings)
+        # the SLOW_REFERENCE branch, the *_slow_reference function and the
+        # waived loop hold identical loops that must NOT fire
+        assert [f.line for f in findings] == [25, 32]
+        assert "charge_block_read" in findings[0].message
+        assert "charge_write" in findings[1].message
 
-    def test_lock_discipline_fires(self):
-        # with the flow engine on, the blocking-under-lock half of the old
-        # rule is owned by flow-lockset; the unlocked-write half stays here
-        findings = lint_corpus_file("lock_discipline.py")
+    def test_lock_discipline_fires(self, corpus):
+        # lock-discipline reports the unlocked writes; the blocking call
+        # under the lock is flow-lockset's
+        findings = corpus["lock_discipline.py"]
         assert sorted(rules_of(findings)) == [
             "flow-lockset", "lock-discipline", "lock-discipline",
         ]
@@ -116,16 +126,8 @@ class TestCorpus:
         assert "self.slots" in messages
         assert "result(...)" in messages
 
-    def test_lock_discipline_fallback_without_flow(self, monkeypatch):
-        # REPRO_LINT_NOFLOW restores the syntactic blocking check, so the
-        # same three violations surface under the old rule name
-        monkeypatch.setenv("REPRO_LINT_NOFLOW", "1")
-        findings = lint_corpus_file("lock_discipline.py")
-        assert rules_of(findings) == ["lock-discipline"] * 3
-        assert any("result(...)" in f.message for f in findings)
-
-    def test_kernel_parity_fires(self):
-        findings = lint_corpus_file("kernel_parity.py")
+    def test_kernel_parity_fires(self, corpus):
+        findings = corpus["kernel_parity.py"]
         assert rules_of(findings) == ["kernel-parity"] * 5
         messages = " | ".join(f.message for f in findings)
         assert "phantom_sort" in messages
@@ -133,8 +135,8 @@ class TestCorpus:
         assert "string literal" in messages
         assert "module:symbol" in messages
 
-    def test_missing_cost_contract_fires(self):
-        findings = lint_corpus_file("missing_contract.py")
+    def test_missing_cost_contract_fires(self, corpus):
+        findings = corpus["missing_contract.py"]
         assert rules_of(findings) == ["missing-cost-contract"] * 4
         messages = " | ".join(f.message for f in findings)
         assert "contractless" in messages
@@ -143,8 +145,8 @@ class TestCorpus:
         # the mismatch finding names both the given and the declared label
         assert "Theorem 4.5" in messages and "Theorem 4.3" in messages
 
-    def test_orphan_charge_fires_and_exempts_element_charges(self):
-        findings = lint_corpus_file("orphan_charge.py")
+    def test_orphan_charge_fires_and_exempts_element_charges(self, corpus):
+        findings = corpus["orphan_charge.py"]
         assert rules_of(findings) == ["orphan-charge"] * 2
         messages = " | ".join(f.message for f in findings)
         assert "_orphan_helper" in messages
@@ -154,13 +156,13 @@ class TestCorpus:
         assert "_elementwise_bookkeeping" not in messages
         assert "_reached_helper" not in messages
 
-    def test_bench_emit_fires(self):
-        findings = lint_corpus_file("bench_emit.py")
+    def test_bench_emit_fires(self, corpus):
+        findings = corpus["bench_emit.py"]
         assert rules_of(findings) == ["bench-emit"]
         assert "bench_silent_scenario" in findings[0].message
 
-    def test_flow_lockset_fires(self):
-        findings = lint_corpus_file("flow_lockset.py")
+    def test_flow_lockset_fires(self, corpus):
+        findings = corpus["flow_lockset.py"]
         assert sorted(rules_of(findings)) == [
             "flow-lockset", "flow-lockset", "flow-lockset", "flow-resource",
         ]
@@ -178,8 +180,8 @@ class TestCorpus:
         # the discarded registry ticket rides along under flow-resource
         assert "ticket" in messages
 
-    def test_flow_resource_fires(self):
-        findings = lint_corpus_file("flow_resource.py")
+    def test_flow_resource_fires(self, corpus):
+        findings = corpus["flow_resource.py"]
         assert rules_of(findings) == ["flow-resource"] * 5
         messages = [f.message for f in findings]
         assert sum("exception path" in m and "normal" not in m for m in messages) == 1
@@ -190,8 +192,8 @@ class TestCorpus:
         # the suppressed deliberate leak all stay silent
         assert {f.line for f in findings} == {12, 21, 49, 73, 81}
 
-    def test_flow_charge_fires(self):
-        findings = lint_corpus_file("flow_charge.py")
+    def test_flow_charge_fires(self, corpus):
+        findings = corpus["flow_charge.py"]
         assert rules_of(findings) == ["flow-charge"] * 3
         messages = " | ".join(f.message for f in findings)
         # C3: plain uncharged block loop + the branch-charge dominance case
@@ -202,27 +204,21 @@ class TestCorpus:
         # dominated, slow-exempt and waived loops all stay silent
         assert {f.line for f in findings} == {36, 56, 73}
 
-    def test_flow_rules_silent_when_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LINT_NOFLOW", "1")
-        for name in ("flow_lockset.py", "flow_resource.py", "flow_charge.py"):
-            findings = lint_corpus_file(name)
-            flow = [f for f in findings if f.rule.startswith("flow-")]
-            assert flow == [], name
+    def test_clean_file_is_clean(self, corpus):
+        assert corpus["clean.py"] == []
 
-    def test_clean_file_is_clean(self):
-        assert lint_corpus_file("clean.py") == []
-
-    def test_findings_carry_virtual_paths(self):
-        findings = lint_corpus_file("uncharged_io.py")
+    def test_findings_carry_virtual_paths(self, corpus):
+        findings = corpus["uncharged_io.py"]
         assert all(f.path.startswith("src/repro/core/") for f in findings)
 
 
 class TestRepairedTree:
-    def test_src_and_benchmarks_are_clean(self):
-        findings = lint_paths(
-            [os.path.join(REPO, "src"), os.path.join(REPO, "benchmarks")],
-            root=REPO,
+    def test_src_and_benchmarks_are_clean(self, real_tree):
+        # every rule over every real file, sharing the session's analysis
+        files = iter_python_files(
+            [os.path.join(REPO, "src"), os.path.join(REPO, "benchmarks")]
         )
+        findings = [f for p in files for f in lint_file(p, real_tree.ctx)]
         assert findings == [], "\n".join(f.render() for f in findings)
 
     def test_committed_baseline_is_empty(self):
@@ -231,15 +227,15 @@ class TestRepairedTree:
 
 
 class TestBaseline:
-    def test_round_trip_filters_everything(self, tmp_path):
-        findings = lint_corpus_file("lock_discipline.py")
+    def test_round_trip_filters_everything(self, tmp_path, corpus):
+        findings = corpus["lock_discipline.py"]
         assert findings
         path = tmp_path / "baseline.json"
         save_baseline(str(path), findings)
         assert filter_baseline(findings, load_baseline(str(path))) == []
 
-    def test_new_findings_survive_the_filter(self, tmp_path):
-        findings = lint_corpus_file("lock_discipline.py")
+    def test_new_findings_survive_the_filter(self, tmp_path, corpus):
+        findings = corpus["lock_discipline.py"]
         path = tmp_path / "baseline.json"
         save_baseline(str(path), findings[:-1])
         remaining = filter_baseline(findings, load_baseline(str(path)))
@@ -263,10 +259,10 @@ class TestSuppressionEdgeCases:
     def test_multiple_rules_one_comment(self):
         m = ModuleSource(
             "f.py",
-            "a = 1  # reprolint: disable=uncharged-io,loop-charge\n",
+            "a = 1  # reprolint: disable=uncharged-io,flow-charge\n",
         )
         assert m.suppressed("uncharged-io", 1)
-        assert m.suppressed("loop-charge", 1)
+        assert m.suppressed("flow-charge", 1)
         assert not m.suppressed("lock-discipline", 1)
 
     def test_multiple_rules_tolerate_spaces(self):
@@ -403,8 +399,8 @@ class TestCacheAndJobs:
         assert rules_of(findings) == ["bench-emit"]
         assert stats["linted"] == 2
 
-    def test_parallel_jobs_match_serial(self):
-        serial = lint_paths([CORPUS], root=REPO)
+    def test_parallel_jobs_match_serial(self, corpus):
+        serial = [f for found in corpus.values() for f in found]
         parallel = lint_paths([CORPUS], root=REPO, jobs=2)
         assert [f.to_dict() for f in parallel] == [f.to_dict() for f in serial]
 
@@ -435,11 +431,14 @@ class TestCacheAndJobs:
         _, warm = self.run(tmp_path, cache)
         assert warm["cached"] == 2
 
-    def test_flow_rules_jobs_parity(self):
-        # the flow rules rebuild their project index inside each worker;
-        # sharding must not change what they report
+    def test_flow_rules_jobs_parity(self, corpus):
+        # every worker indexes the project with the run's full overlay set
+        # spliced in, so sharding must not change what the flow rules report
         flow_rules = ["flow-lockset", "flow-resource", "flow-charge"]
-        serial = lint_paths([CORPUS], root=REPO, rules=flow_rules)
+        serial = [
+            f for found in corpus.values() for f in found
+            if f.rule in flow_rules
+        ]
         sharded = lint_paths([CORPUS], root=REPO, rules=flow_rules, jobs=4)
         assert serial  # the corpus plants violations for every flow rule
         assert [f.to_dict() for f in sharded] == [f.to_dict() for f in serial]
@@ -449,6 +448,19 @@ class TestCacheAndJobs:
         out = capsys.readouterr().out
         assert rc == 1
         assert "reprolint: 31 findings" in out
+
+    def test_corpus_cache_does_not_leak_into_single_file(self, tmp_path):
+        # one analysis spans every linted overlay, so a cache filled by a
+        # whole-corpus run must not hand one file findings that depend on
+        # its neighbours: linting that file alone against the cache equals
+        # a --no-cache run of it
+        cache = str(tmp_path / "c.json")
+        lint_paths([CORPUS], root=REPO, cache_path=cache)
+        one = os.path.join(CORPUS, "flow_lockset.py")
+        cached = lint_paths([one], root=REPO, cache_path=cache)
+        fresh = lint_paths([one], root=REPO)
+        assert fresh  # the file plants violations
+        assert [f.to_dict() for f in cached] == [f.to_dict() for f in fresh]
 
     def test_cli_cache_file_round_trip(self, tmp_path, capsys):
         cache = str(tmp_path / "c.json")
@@ -512,12 +524,15 @@ class TestCLI:
         out = capsys.readouterr().out
         assert out.startswith("lock-discipline:")
 
-    def test_dump_graphs(self, tmp_path, capsys):
+    def test_dump_graphs(self, tmp_path, capsys, real_tree):
         outdir = str(tmp_path / "graphs")
         assert main(["--root", REPO, "--dump-graphs", outdir]) == 0
         assert "wrote" in capsys.readouterr().out
         cg = json.load(open(os.path.join(outdir, "callgraph.json")))
         lo = json.load(open(os.path.join(outdir, "lock_order.json")))
+        # the artifacts serialize exactly the analysis the lint run uses
+        assert cg == json.loads(json.dumps(real_tree.index.to_dict()))
+        assert lo == json.loads(json.dumps(real_tree.lockset.order_graph_dict()))
         # the project graph is substantial, and every function carries a
         # resolvable source location
         assert len(cg["functions"]) > 500

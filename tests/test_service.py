@@ -494,6 +494,22 @@ class TestStats:
         svc.shutdown()
         assert svc.stats()["shutdown"]
 
+    def test_done_callback_sees_its_own_job_in_stats(self):
+        # the counters are published before the future resolves, so an
+        # observer woken by completion never reads a stale `completed`
+        svc, gate, release = _gated_service()
+        fut = svc.submit(_jobs(1)[0])
+        seen = []
+        fut.add_done_callback(
+            lambda f: seen.append((svc.stats()["completed"],
+                                   svc.stats()["records_sorted"]))
+        )
+        release.set()
+        fut.result(timeout=30)
+        svc.shutdown(drain=True)
+        # the gate job and this one have both finished by the callback
+        assert seen == [(2, 3 + len(fut.job.data))]
+
     def test_queued_counts_undispatched(self):
         svc, gate, release = _gated_service()
         svc.submit_many(_jobs(3))
