@@ -94,9 +94,14 @@ def _bench_trajectory(request):
         return
     try:
         wall = stats.stats.mean
+        repeats = stats.stats.rounds
     except AttributeError:  # pragma: no cover - pytest-benchmark internals
         return
     emit_bench_json(
         request.node.name,
-        {"wall_seconds": round(wall, 6), "extra_info": dict(benchmark.extra_info)},
+        {
+            "wall_seconds": round(wall, 6),
+            "repeats": repeats,
+            "extra_info": dict(benchmark.extra_info),
+        },
     )

@@ -14,7 +14,8 @@ Structure
     and the next block is processed immediately.
 
 Theorem 4.3 bounds: ``R(n) <= (k+1) ceil(n/B) ceil(log_{kM/B}(n/B))`` reads
-and ``W(n) <= ceil(n/B) ceil(log_{kM/B}(n/B))`` writes.
+and ``W(n) <= ceil(n/B) ceil(log_{kM/B}(n/B))`` writes
+(:func:`repro.analysis.formulas.mergesort_reads` / ``mergesort_writes``).
 
 Round-threshold correction
 --------------------------
@@ -48,7 +49,6 @@ this round), so Lemma 4.1's ``ceil(n/M)``-round bound — and hence Theorem
 from __future__ import annotations
 
 import bisect
-import math
 
 from ..models.external_memory import AEMachine, ExtArray, MemoryGuard
 from .kernels import SLOW_REFERENCE, register_kernel_entry, resolve_kernel
@@ -452,24 +452,3 @@ def _merge_vectorized(
     finally:
         guard.release(footprint)
     return out.close()
-
-
-# ---------------------------------------------------------------------- #
-# Theorem 4.3 closed forms
-# ---------------------------------------------------------------------- #
-def merge_levels(n: int, M: int, B: int, k: int) -> int:
-    """``ceil(log_{kM/B}(n/B))`` — recursion levels including the base round."""
-    if n <= B:
-        return 1
-    l = k * M // B
-    return max(1, math.ceil(math.log(n / B) / math.log(l)))
-
-
-def predicted_reads(n: int, M: int, B: int, k: int) -> int:
-    """Theorem 4.3: ``R(n) <= (k+1) ceil(n/B) ceil(log_{kM/B}(n/B))``."""
-    return (k + 1) * math.ceil(n / B) * merge_levels(n, M, B, k)
-
-
-def predicted_writes(n: int, M: int, B: int, k: int) -> int:
-    """Theorem 4.3: ``W(n) <= ceil(n/B) ceil(log_{kM/B}(n/B))``."""
-    return math.ceil(n / B) * merge_levels(n, M, B, k)

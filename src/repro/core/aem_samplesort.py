@@ -18,7 +18,8 @@ drops to ``l = ceil(n/(kM))`` so the splitter-sorting cost stays a
 lower-order term; this guarantees ``l <= sqrt(n/B)``.
 
 Theorem 4.5 bounds (w.h.p.): ``R(n) = O((kn/B) ceil(log_{kM/B}(n/B)))`` and
-``W(n) = O((n/B) ceil(log_{kM/B}(n/B)))``.
+``W(n) = O((n/B) ceil(log_{kM/B}(n/B)))``
+(:func:`repro.analysis.formulas.samplesort_reads` / ``samplesort_writes``).
 """
 
 from __future__ import annotations
@@ -363,20 +364,3 @@ def _distribute_blocks(blocks, writers, round_splitters, lo, hi) -> None:
     for j in range(n_writers):
         if staging[j]:
             writers[j].extend(staging[j])
-
-
-# ---------------------------------------------------------------------- #
-# Theorem 4.5 closed forms (same recursion shape as the mergesort)
-# ---------------------------------------------------------------------- #
-def predicted_reads(n: int, M: int, B: int, k: int) -> int:
-    """Theorem 4.5 read bound (constant = 1 on the leading term)."""
-    from .aem_mergesort import merge_levels
-
-    return k * math.ceil(n / B) * merge_levels(n, M, B, k)
-
-
-def predicted_writes(n: int, M: int, B: int, k: int) -> int:
-    """Theorem 4.5 write bound (constant = 1 on the leading term)."""
-    from .aem_mergesort import merge_levels
-
-    return math.ceil(n / B) * merge_levels(n, M, B, k)

@@ -78,44 +78,15 @@ def em_two_way_mergesort(
 def _merge_two(machine: AEMachine, a: ExtArray, b: ExtArray) -> ExtArray:
     """Block-wise streaming merge of two sorted runs.
 
-    Instead of advancing one record per comparison, each step locates (via
-    ``bisect``) the maximal segment of the current block that precedes the
-    other stream's head and emits it with one ``extend`` — ties go to ``a``,
-    matching the reference's ``va <= vb`` rule, so outputs are identical.
+    :func:`merge_sorted_block_streams` over the two runs' block scans: each
+    step emits the maximal segment of the current block that precedes the
+    other stream's head with one ``extend`` — ties go to ``a``, matching the
+    reference's ``va <= vb`` rule, so outputs are identical.
     """
     out = machine.writer(name="merge2-out")
-    ita = machine.scan_blocks(a)
-    itb = machine.scan_blocks(b)
-    blka = next(ita, None)
-    blkb = next(itb, None)
-    ia = ib = 0
-    while blka is not None and blkb is not None:
-        # all of a's remaining records <= b's head: emit them in one slice
-        head_b = blkb[ib]
-        j = bisect.bisect_right(blka, head_b, ia)
-        if j > ia:
-            out.extend(blka if ia == 0 and j == len(blka) else blka[ia:j])
-            ia = j
-            if ia >= len(blka):
-                blka = next(ita, None)
-                ia = 0
-            continue
-        # blka[ia] > head_b: emit b's records strictly below a's head
-        head_a = blka[ia]
-        j = bisect.bisect_left(blkb, head_a, ib)
-        out.extend(blkb if ib == 0 and j == len(blkb) else blkb[ib:j])
-        ib = j
-        if ib >= len(blkb):
-            blkb = next(itb, None)
-            ib = 0
-    while blka is not None:
-        out.extend(blka[ia:] if ia else blka)
-        blka = next(ita, None)
-        ia = 0
-    while blkb is not None:
-        out.extend(blkb[ib:] if ib else blkb)
-        blkb = next(itb, None)
-        ib = 0
+    ita, itb = machine.scan_blocks(a), machine.scan_blocks(b)
+    for chunk in merge_sorted_block_streams(ita, itb):
+        out.extend(chunk)
     return out.close()
 
 
@@ -124,8 +95,9 @@ def merge_sorted_block_streams(ita, itb):
 
     ``ita`` / ``itb`` yield non-empty lists whose concatenation is sorted;
     the output yields lists whose concatenation is the sorted merge (ties go
-    to ``ita``, the ``va <= vb`` rule).  Pure in-memory plumbing — no
-    machine, no charges — shared by the vectorized buffer-tree drains.
+    to ``ita``, the ``va <= vb`` rule).  Pure in-memory plumbing that
+    charges nothing itself (block scans passed in charge their own reads) —
+    shared by the 2-way run merge and the vectorized buffer-tree drains.
     """
     blka = next(ita, None)
     blkb = next(itb, None)

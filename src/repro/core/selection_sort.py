@@ -27,7 +27,6 @@ exact bounds on every input.
 from __future__ import annotations
 
 import heapq
-import math
 
 from ..models.external_memory import AEMachine, ExtArray, MemoryGuard
 from .kernels import (
@@ -164,14 +163,3 @@ class _Neg:
 
     def __lt__(self, other: "_Neg") -> bool:
         return self.value > other.value
-
-
-def predicted_reads(n: int, M: int, B: int) -> int:
-    """Lemma 4.2 read bound with the tight per-phase count."""
-    phases = max(1, math.ceil(n / M))
-    return phases * math.ceil(n / B)
-
-
-def predicted_writes(n: int, B: int) -> int:
-    """Lemma 4.2 write bound: every record written once."""
-    return math.ceil(n / B)

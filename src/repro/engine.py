@@ -428,7 +428,7 @@ class SortEngine:
                 f"unknown executor {executor!r}; choose 'thread' or 'process'"
             )
         if workers is not None and workers < 1:
-            raise ValueError(f"max_workers must be >= 1 or None, got {workers}")
+            raise ValueError(f"workers must be >= 1 or None, got {workers}")
         jobs = list(jobs)
         if not jobs:
             return BatchReport(executor=executor)

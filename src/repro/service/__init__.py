@@ -5,8 +5,9 @@ redesign was synchronous — every entry point blocked its caller until the
 sort finished.  This subsystem adds the submission-oriented surface a
 persistent, heavily-trafficked deployment needs:
 
-* :mod:`~repro.service.futures` — :class:`SortFuture` result handles with
-  result / exception / cancel / done-callback semantics;
+* :mod:`~repro.service.futures` — :class:`SortFuture`, a
+  :class:`concurrent.futures.Future` carrying the job's ticket, priority
+  and per-job timing / plan-cache figures;
 * :mod:`~repro.service.scheduler` — :class:`SortService`, the
   priority-queue dispatcher over a **persistent** worker pool (thread or
   long-lived worker processes that survive across submissions, with
@@ -23,7 +24,7 @@ persistent, heavily-trafficked deployment needs:
 """
 
 from .backoff import Deadline, backoff_delay, backoff_delays
-from .futures import CANCELLED, FINISHED, PENDING, RUNNING, SortFuture, wait
+from .futures import CANCELLED, FINISHED, PENDING, RUNNING, SortFuture
 from .scheduler import (
     ADMISSION_POLICIES,
     PRIORITY_CONTROL,
@@ -52,5 +53,4 @@ __all__ = [
     "backoff_delay",
     "backoff_delays",
     "default_pool_width",
-    "wait",
 ]

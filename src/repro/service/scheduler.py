@@ -15,6 +15,11 @@ turns the engine into a job service:
   processes (:func:`repro.service.workers.spawn_persistent_worker`) that
   survive across submissions instead of being rebuilt per batch call, each
   keeping its plan cache warm across jobs;
+* every worker runs one loop (:meth:`SortService._worker`): take the best
+  queued job, skip it if it was cancelled, run it, time it, publish the
+  counters, resolve the future.  Only "run it" depends on the executor —
+  in the worker thread itself, or one lockstep pipe round-trip to the
+  worker's process;
 * a worker process that dies (OOM kill, segfault) fails *only* its
   in-flight future with
   :class:`~repro.service.workers.WorkerDiedError` — the service respawns
@@ -50,7 +55,7 @@ admission policies when the queue is full:
   cancellation.
 
 Only queued (undispatched) jobs count against ``max_queue``; in-flight
-jobs and control messages do not.
+jobs do not.
 """
 
 from __future__ import annotations
@@ -73,8 +78,8 @@ from .backoff import Deadline
 from .futures import SortFuture
 from .workers import WorkerDiedError, spawn_persistent_worker, stop_persistent_worker
 
-#: priority used for internal control messages (cache seeding) — beats any
-#: caller priority so a warm() lands before jobs queued behind it
+#: priority that beats any caller priority — the cluster coordinator sends
+#: its plan-cache warming probes with it so they overtake queued work
 PRIORITY_CONTROL = float("-inf")
 
 #: recognised admission policies for a bounded queue
@@ -131,28 +136,6 @@ class _CacheView:
         else:
             self.misses += 1
         return plan
-
-
-class _Entry:
-    """One queue element: a job (with its future) or a control message."""
-
-    __slots__ = ("priority", "seq", "future", "job", "check_sorted", "index", "control")
-
-    def __init__(self, priority, seq, future=None, job=None, check_sorted=False,
-                 index=0, control=None):
-        self.priority = priority
-        self.seq = seq
-        self.future = future
-        self.job = job
-        self.check_sorted = check_sorted
-        #: index passed to execute_and_check (batch position or ticket) —
-        #: appears in check-sorted failure messages
-        self.index = index
-        #: ``("seed", entries)`` for control messages, ``None`` for jobs
-        self.control = control
-
-    def key(self):
-        return (self.priority, self.seq)
 
 
 class SortService:
@@ -230,10 +213,11 @@ class SortService:
         self.block_timeout = block_timeout
 
         self._cond = wrap_condition(threading.Condition(), "SortService._cond")
-        self._shared: list = []  # heap of (priority, seq, entry)
-        # per-worker heaps, used only for warm()'s seed control messages
-        self._pinned: list[list] = [[] for _ in range(workers)]
-        self._pending_jobs = 0  # job entries currently queued (not control)
+        # heap of (priority, seq, future, check_sorted): the unique seq keeps
+        # FIFO order within a priority and never lets two futures be compared
+        self._queue: list = []
+        # warm() entries each process worker installs before its next job
+        self._seeds: list[list] = [[] for _ in range(workers)]
         self._seq = itertools.count()
         self._tickets = itertools.count()
         self._shutdown = False
@@ -262,11 +246,8 @@ class SortService:
                 self._handles[index] = spawn_persistent_worker(
                     self.constants, self._warm_entries
                 )
-                target = self._process_worker
-            else:
-                target = self._thread_worker
             t = threading.Thread(
-                target=target, args=(index,), daemon=True,
+                target=self._worker, args=(index,), daemon=True,
                 name=f"sort-service-{self.executor}-{index}",
             )
             t.start()
@@ -319,24 +300,21 @@ class SortService:
             isinstance(priority, float) and priority != priority
         ):
             raise TypeError(f"priority must be a real number, got {priority!r}")
-        victim: _Entry | None = None
         with self._cond:
             if self._shutdown:
                 raise RuntimeError("service is shut down")
             victim = self._admit_locked(priority, admission_timeout)
-            ticket = next(self._tickets)
-            future = SortFuture(ticket, job=job, priority=priority)
-            entry = _Entry(priority, next(self._seq), future=future, job=job,
-                           check_sorted=check_sorted, index=ticket)
-            heapq.heappush(self._shared, (entry.key(), entry))
-            self._pending_jobs += 1
+            future = SortFuture(next(self._tickets), job=job, priority=priority)
+            heapq.heappush(
+                self._queue, (priority, next(self._seq), future, check_sorted)
+            )
             self.submitted += 1
             self._cond.notify_all()
         if victim is not None:
             # cancel outside the lock: cancel() fires done-callbacks in the
             # calling thread, and a callback re-entering the service (stats,
             # another submit) under the held condition would self-deadlock
-            victim.future.cancel()
+            victim.cancel()
             with self._cond:
                 self.shed += 1
                 self.cancelled += 1
@@ -362,7 +340,7 @@ class SortService:
         self.rejected += 1  # reprolint: disable=lock-discipline
         return QueueFullError(
             message,
-            queued=self._pending_jobs,
+            queued=len(self._queue),
             max_queue=self.max_queue or 0,
             policy=self.admission,
             retry_after=self._retry_after_locked(),
@@ -370,22 +348,22 @@ class SortService:
 
     def _admit_locked(self, priority: float, admission_timeout: float | None):
         """Admit one job under the bounded-queue policy (caller holds the
-        condition).  Returns the entry to shed (cancel outside the lock),
+        condition).  Returns the future to shed (cancel outside the lock),
         or ``None``; raises :class:`QueueFullError` when inadmissible."""
         if self.max_queue is None:
             return None
         deadline: Deadline | None = None
-        while self._pending_jobs >= self.max_queue:
+        while len(self._queue) >= self.max_queue:
             if self.admission == "reject":
                 raise self._queue_full_locked(
-                    f"queue full ({self._pending_jobs}/{self.max_queue}); "
+                    f"queue full ({len(self._queue)}/{self.max_queue}); "
                     "admission policy 'reject'"
                 )
             if self.admission == "shed-lowest":
                 victim = self._shed_victim_locked(priority)
                 if victim is None:
                     raise self._queue_full_locked(
-                        f"queue full ({self._pending_jobs}/{self.max_queue}) "
+                        f"queue full ({len(self._queue)}/{self.max_queue}) "
                         "and no pending job has lower priority than "
                         f"{priority!r}; admission policy 'shed-lowest'"
                     )
@@ -399,7 +377,7 @@ class SortService:
             remaining = deadline.remaining()
             if remaining is not None and remaining <= 0:
                 raise self._queue_full_locked(
-                    f"queue full ({self._pending_jobs}/{self.max_queue}); "
+                    f"queue full ({len(self._queue)}/{self.max_queue}); "
                     "admission policy 'block' deadline expired"
                 )
             self._cond.wait(remaining)
@@ -407,22 +385,19 @@ class SortService:
                 raise RuntimeError("service is shut down")
         return None
 
-    def _shed_victim_locked(self, priority: float) -> _Entry | None:
-        """Pop the lowest-priority pending job entry (highest key) from
-        the shared queue, provided it ranks strictly below the incoming
-        ``priority``.  Caller holds the condition and cancels the returned
-        entry's future outside it."""
-        if not self._shared:
+    def _shed_victim_locked(self, priority: float) -> SortFuture | None:
+        """Pop the lowest-priority pending job (highest key) from the
+        queue, provided it ranks strictly below the incoming ``priority``.
+        Caller holds the condition and cancels the returned future outside
+        it."""
+        if not self._queue:
             return None
-        pos = max(range(len(self._shared)), key=lambda i: self._shared[i][1].key())
-        victim = self._shared[pos][1]
-        if not victim.priority > priority:
+        victim = max(self._queue)
+        if not victim[0] > priority:
             return None
-        self._shared.pop(pos)
-        heapq.heapify(self._shared)
-        # caller holds _cond (the _locked suffix is the contract)
-        self._pending_jobs -= 1  # reprolint: disable=lock-discipline
-        return victim
+        self._queue.remove(victim)
+        heapq.heapify(self._queue)
+        return victim[2]
 
     def submit_many(
         self,
@@ -455,8 +430,8 @@ class SortService:
     # ------------------------------------------------------------------ #
     def warm(self, entries) -> int:
         """Seed planning with pre-computed entries (a :class:`PlanCache` or
-        its snapshot): immediate for the shared thread cache, broadcast as a
-        front-of-queue control message to every process worker."""
+        its snapshot): immediate for the shared thread cache; every process
+        worker installs them before its next job."""
         if isinstance(entries, PlanCache):
             entries = entries.snapshot()
         entries = list(entries)
@@ -467,11 +442,8 @@ class SortService:
         with self._cond:
             if self._shutdown:
                 raise RuntimeError("service is shut down")
-            for w in range(self.workers):
-                entry = _Entry(PRIORITY_CONTROL, next(self._seq),
-                               control=("seed", entries))
-                heapq.heappush(self._pinned[w], (entry.key(), entry))
-            self._cond.notify_all()
+            for seeds in self._seeds:
+                seeds.extend(entries)
         return len(entries)
 
     # ------------------------------------------------------------------ #
@@ -512,152 +484,109 @@ class SortService:
         return report
 
     # ------------------------------------------------------------------ #
-    # worker loops
+    # the worker loop
     # ------------------------------------------------------------------ #
-    def _next_entry(self, index: int) -> _Entry | None:
-        """Block until an entry is available for worker ``index`` (its pinned
-        queue or the shared queue, whichever holds the best key) or the
-        service is shut down with nothing left to drain."""
+    def _next_job(self) -> tuple | None:
+        """Block until a job is queued and pop the best one, or return
+        ``None`` once the service is shut down with nothing left to drain."""
         with self._cond:
-            while True:
-                pinned = self._pinned[index]
-                best = None
-                if self._shared and pinned:
-                    best = self._shared if self._shared[0][0] <= pinned[0][0] else pinned
-                elif self._shared:
-                    best = self._shared
-                elif pinned:
-                    best = pinned
-                if best is not None:
-                    entry = heapq.heappop(best)[1]
-                    if entry.control is None:
-                        self._pending_jobs -= 1
-                        if self.max_queue is not None:
-                            # wake "block"-policy submitters waiting on a slot
-                            self._cond.notify_all()
-                    return entry
+            while not self._queue:
                 if self._shutdown:
                     return None
                 self._cond.wait()
+            item = heapq.heappop(self._queue)
+            if self.max_queue is not None:
+                # wake "block"-policy submitters waiting on a slot
+                self._cond.notify_all()
+            return item
 
-    def _finish(self, future: SortFuture, worker: int, hits: int, misses: int,
-                result=None, error: BaseException | None = None,
-                wall: float = 0.0, records: int = 0,
-                cpu: float | None = None) -> None:
-        future.plan_stats = (worker, hits, misses)
-        future.wall_seconds = wall
-        future.cpu_seconds = wall if cpu is None else cpu
-        # publish the counters first: a waiter or done-callback that reads
-        # stats() the moment its future resolves must see its own job
-        with self._cond:
-            self.completed += 1
-            self.busy_seconds += wall
-            if error is None:
-                self.records_sorted += records
-        if error is not None:
-            future.set_exception(error)
-        else:
-            future.set_result(result)
-
-    def _thread_worker(self, index: int) -> None:
-        while True:
-            entry = self._next_entry(index)
-            if entry is None:
-                return
-            if entry.control is not None:  # seeds are immediate for threads
-                continue
-            fut = entry.future
+    def _worker(self, index: int) -> None:
+        """Body of worker thread ``index``: dispatch, cancel-skip, run,
+        time, publish — one lifecycle for both executors."""
+        run = (self._run_in_process if self.executor == "process"
+               else self._run_in_thread)
+        while (item := self._next_job()) is not None:
+            _priority, _seq, fut, check_sorted = item
             if not fut.set_running_or_notify_cancel():
                 with self._cond:
                     self.cancelled += 1
                 continue
-            view = _CacheView(self.cache)
-            records = len(entry.job.data) if entry.job.data is not None else 0
+            records = len(fut.job.data) if fut.job.data is not None else 0
             t0 = time.perf_counter()
-            c0 = time.thread_time()  # this worker's CPU, contention-free
-            try:
-                plan = faults.active()
-                if plan is not None:
-                    # thread workers cannot die without taking the pool down,
-                    # so injected "worker death" fails the in-flight job
-                    plan.check("worker-death", f"thread worker {index}")
-                rep = execute_and_check(
-                    entry.index, entry.job, cache=view,
-                    constants=self.constants, check_sorted=entry.check_sorted,
-                )
-            except Exception as exc:  # noqa: BLE001 — captured per job by design
-                self._finish(fut, index, view.hits, view.misses, error=exc,
-                             wall=time.perf_counter() - t0, records=records,
-                             cpu=time.thread_time() - c0)
-            else:
-                self._finish(fut, index, view.hits, view.misses, result=rep,
-                             wall=time.perf_counter() - t0, records=records,
-                             cpu=time.thread_time() - c0)
-
-    def _process_worker(self, index: int) -> None:
-        """Feeder thread for one persistent worker process: one in-flight
-        job at a time over the lockstep pipe protocol."""
-        while True:
-            entry = self._next_entry(index)
-            if entry is None:
-                break
-            handle = self._handles[index]
-            if handle is None:  # respawn was refused (interpreter shutdown)
-                if entry.future is not None:
-                    entry.future.cancel()
-                continue
-            proc, conn = handle
-            if entry.control is not None:
-                try:
-                    conn.send(entry.control)
-                    conn.recv()  # ("seeded", n, 0, 0)
-                except (EOFError, OSError, BrokenPipeError):
-                    self._respawn(index)
-                continue
-            fut = entry.future
-            if not fut.set_running_or_notify_cancel():
-                with self._cond:
-                    self.cancelled += 1
-                continue
-            records = len(entry.job.data) if entry.job.data is not None else 0
-            t0 = time.perf_counter()
-            if faults.fire("worker-death"):
-                # injected worker death takes the REAL failure path: kill the
-                # child, let the pipe EOF below raise, fail only this future,
-                # respawn — exactly what an OOM kill looks like
-                proc.kill()
-            try:
-                # ship the submitting process's block-kernel mode with the
-                # job — module globals do not cross the process boundary
-                conn.send(("job", entry.index, entry.job, entry.check_sorted,
-                           get_default_kernel()))
-                status, payload, dh, dm = conn.recv()
-            except (EOFError, OSError, BrokenPipeError) as exc:
-                # the worker process died mid-job: fail ONLY this future,
-                # respawn the worker, keep serving the queue
-                self._respawn(index)
-                self._finish(
-                    fut, index, 0, 0,
-                    error=WorkerDiedError(
-                        f"worker {index} died while running job "
-                        f"{entry.index} ({getattr(entry.job, 'label', '')!r}): "
-                        f"{exc!r}"
-                    ),
-                    wall=time.perf_counter() - t0, records=records,
-                )
-                continue
+            result, error, hits, misses, cpu = run(index, fut, check_sorted)
             wall = time.perf_counter() - t0
-            if status == "ok":
-                self._finish(fut, index, dh, dm, result=payload,
-                             wall=wall, records=records)
+            fut.plan_stats = (index, hits, misses)
+            fut.wall_seconds = wall
+            fut.cpu_seconds = wall if cpu is None else cpu
+            # publish the counters first: a waiter or done-callback that reads
+            # stats() the moment its future resolves must see its own job
+            with self._cond:
+                self.completed += 1
+                self.busy_seconds += wall
+                if error is None:
+                    self.records_sorted += records
+            if error is None:
+                fut.set_result(result)
             else:
-                self._finish(fut, index, dh, dm, error=payload,
-                             wall=wall, records=records)
-        proc_handle = self._handles[index]
-        if proc_handle is not None:
-            stop_persistent_worker(*proc_handle)
+                fut.set_exception(error)
+        handle = self._handles[index]
+        if handle is not None:
+            stop_persistent_worker(*handle)
             with self._cond:
                 self._handles[index] = None
+
+    def _run_in_thread(self, index: int, fut: SortFuture, check_sorted: bool):
+        """Run one job on this worker thread, planning through a private
+        view of the shared cache.  Returns ``(result, error, plan_hits,
+        plan_misses, cpu_seconds)``."""
+        view = _CacheView(self.cache)
+        c0 = time.thread_time()  # this worker's CPU, contention-free
+        result = error = None
+        try:
+            plan = faults.active()
+            if plan is not None:
+                # thread workers cannot die without taking the pool down,
+                # so injected "worker death" fails the in-flight job
+                plan.check("worker-death", f"thread worker {index}")
+            result = execute_and_check(
+                fut.ticket, fut.job, cache=view,
+                constants=self.constants, check_sorted=check_sorted,
+            )
+        except Exception as exc:  # noqa: BLE001 — captured per job by design
+            error = exc
+        return result, error, view.hits, view.misses, time.thread_time() - c0
+
+    def _run_in_process(self, index: int, fut: SortFuture, check_sorted: bool):
+        """Run one job as a lockstep pipe round-trip to worker ``index``'s
+        process, installing any pending :meth:`warm` seeds first.  Returns
+        ``(result, error, plan_hits, plan_misses, None)``: the CPU figure is
+        the wall of the dedicated child."""
+        handle = self._handles[index]
+        if handle is None:  # respawn was refused (interpreter shutdown)
+            error = WorkerDiedError(f"worker {index} was not respawned")
+            return None, error, 0, 0, None
+        proc, conn = handle
+        with self._cond:
+            seeds, self._seeds[index] = self._seeds[index], []
+        if faults.fire("worker-death"):
+            # injected worker death takes the REAL failure path: kill the
+            # child, let the pipe EOF below raise, fail only this future,
+            # respawn — exactly what an OOM kill looks like
+            proc.kill()
+        try:
+            # ship the submitting process's block-kernel mode with the
+            # job — module globals do not cross the process boundary
+            conn.send((fut.ticket, fut.job, check_sorted, get_default_kernel(), seeds))
+            return (*conn.recv(), None)
+        except (EOFError, OSError, BrokenPipeError) as exc:
+            # the worker process died mid-job: fail ONLY this future,
+            # respawn the worker, keep serving the queue
+            self._respawn(index)
+            error = WorkerDiedError(
+                f"worker {index} died while running job "
+                f"{fut.ticket} ({getattr(fut.job, 'label', '')!r}): {exc!r}"
+            )
+            return None, error, 0, 0, None
 
     def _respawn(self, index: int) -> None:
         proc, conn = self._handles[index]
@@ -687,7 +616,7 @@ class SortService:
     def queued(self) -> int:
         """Jobs accepted but not yet dispatched."""
         with self._cond:
-            return len(self._shared) + sum(len(p) for p in self._pinned)
+            return len(self._queue)
 
     def stats(self) -> dict:
         """Service-level counters — the ops dashboard row.
@@ -711,7 +640,7 @@ class SortService:
                 "shed": self.shed,
                 "max_queue": self.max_queue,
                 "admission": self.admission,
-                "queued": len(self._shared) + sum(len(p) for p in self._pinned),
+                "queued": len(self._queue),
                 "respawns": self.respawns,
                 "shutdown": self._shutdown,
                 "records_sorted": self.records_sorted,
@@ -735,18 +664,13 @@ class SortService:
         with self._cond:
             already = self._shutdown
             self._shutdown = True
+            doomed = []
             if not drain and not already:
-                doomed = [e for _, e in self._shared]
-                doomed += [e for p in self._pinned for _, e in p]
-                self._shared.clear()
-                for p in self._pinned:
-                    p.clear()
-                self._pending_jobs = 0
-            else:
-                doomed = []
+                doomed = [fut for _, _, fut, _ in self._queue]
+                self._queue.clear()
             self._cond.notify_all()
-        for entry in doomed:
-            if entry.future is not None and entry.future.cancel():
+        for fut in doomed:
+            if fut.cancel():
                 with self._cond:
                     self.cancelled += 1
         if wait:

@@ -4,14 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.aem_mergesort import (
-    StrandingDetected,
-    _merge,
-    aem_mergesort,
-    merge_levels,
-    predicted_reads,
-    predicted_writes,
-)
+from repro.analysis.formulas import mergesort_levels, mergesort_reads, mergesort_writes
+from repro.core.aem_mergesort import StrandingDetected, _merge, aem_mergesort
 from repro.models import AEMachine, MachineParams, MemoryGuard
 from repro.workloads import (
     adversarial_merge_killer,
@@ -171,8 +165,8 @@ class TestTheorem43Bounds:
         data = random_permutation(n, seed=k)
         out, machine, _ = run(data, M=M, B=B, k=k)
         assert out.peek_list() == sorted(data)
-        assert machine.counter.block_reads <= predicted_reads(n, M, B, k)
-        assert machine.counter.block_writes <= predicted_writes(n, M, B, k)
+        assert machine.counter.block_reads <= mergesort_reads(n, M, B, k)
+        assert machine.counter.block_writes <= mergesort_writes(n, M, B, k)
 
     def test_writes_decrease_with_k(self):
         n = 20000
@@ -194,7 +188,7 @@ class TestTheorem43Bounds:
         for k in (1, 2, 8):
             l = k * 64 // 8
             expected = max(1, math.ceil(math.log(20000 / 8) / math.log(l)))
-            assert merge_levels(20000, 64, 8, k) == expected
+            assert mergesort_levels(20000, 64, 8, k) == expected
 
     def test_memory_budget(self):
         M, B = 64, 8
@@ -207,7 +201,7 @@ class TestTheorem43Bounds:
         M, B, n = 64, 8, 20000
         data = random_permutation(n, seed=7)
         _, machine, _ = run(data, M=M, B=B, k=1)
-        levels = merge_levels(n, M, B, 1)
+        levels = mergesort_levels(n, M, B, 1)
         # classic: ~ (n/B) transfers per level in each direction
         assert machine.counter.block_writes <= (n // B) * levels + levels
         assert machine.counter.block_reads <= 2 * (n // B) * levels + levels

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.aem_samplesort import aem_samplesort, predicted_reads, predicted_writes
+from repro.analysis.formulas import samplesort_reads, samplesort_writes
+from repro.core.aem_samplesort import aem_samplesort
 from repro.models import AEMachine, MachineParams, MemoryGuard
 from repro.workloads import (
     few_distinct,
@@ -145,8 +146,8 @@ class TestTheorem45Shape:
         for n in (4000, 16000):
             data = random_permutation(n, seed=n)
             _, machine, _ = run(data, M=M, B=B, k=k)
-            r_ratio = machine.counter.block_reads / predicted_reads(n, M, B, k)
-            w_ratio = machine.counter.block_writes / predicted_writes(n, M, B, k)
+            r_ratio = machine.counter.block_reads / samplesort_reads(n, M, B, k)
+            w_ratio = machine.counter.block_writes / samplesort_writes(n, M, B, k)
             assert r_ratio < 6.0, f"read blow-up at n={n}"
             assert w_ratio < 6.0, f"write blow-up at n={n}"
 

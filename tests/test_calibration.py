@@ -94,7 +94,7 @@ class TestConstantsInRanking:
         )
         assert scaled[0].algorithm == "mergesort"
 
-    def test_sort_auto_threads_constants(self):
+    def test_adaptive_sort_threads_constants(self):
         heavy = CostConstants.from_mapping({"samplesort": (10.0, 10.0)})
         rep = SortEngine(SMALL, constants=heavy).sort(
             make_scenario("uniform", 20_000, seed=2),

@@ -94,7 +94,7 @@ class TestLegacyShimParity:
     what a raw algorithm-module run returns, and a throwaway engine exactly
     what a long-lived one does."""
 
-    def test_sort_external_matches_raw_machine_run(self):
+    def test_engine_sort_matches_raw_machine_run(self):
         from repro.core.aem_mergesort import aem_mergesort
 
         data = random_permutation(700, seed=6)
@@ -108,7 +108,7 @@ class TestLegacyShimParity:
         assert shim.memory_high_water == guard.high_water
         assert shim.algorithm == "aem-mergesort(k=3)"
 
-    def test_sort_external_selection_matches_raw(self):
+    def test_engine_selection_sort_matches_raw(self):
         from repro.core.selection_sort import selection_sort
 
         data = random_permutation(300, seed=7)
@@ -122,7 +122,7 @@ class TestLegacyShimParity:
         assert shim.algorithm == "aem-selection"
         assert shim.extras == {}
 
-    def test_sort_ram_matches_raw(self):
+    def test_ram_sort_report_matches_raw(self):
         from repro.core.ram_sort import RAM_SORTS
 
         data = random_permutation(200, seed=8)
@@ -134,7 +134,7 @@ class TestLegacyShimParity:
         assert shim.granularity == "element"
 
     @pytest.mark.parametrize("n", [40, 3000])  # ram route and external route
-    def test_sort_auto_equals_engine_sort(self, n):
+    def test_fresh_engine_sort_equals_warm_engine_sort(self, n):
         data = random_permutation(n, seed=9)
         shim = SortEngine(PARAMS).sort(data)
         engine = SortEngine(PARAMS)
@@ -143,7 +143,7 @@ class TestLegacyShimParity:
         assert report_tuple(shim) == report_tuple(eng)
         assert shim.extras["plan"] == eng.extras["plan"]
 
-    def test_run_batch_equals_engine_batch(self):
+    def test_engine_batch_equals_per_job_sorts(self):
         jobs = [SortJob(random_permutation(400, seed=i), PARAMS) for i in range(6)]
         with SortEngine(PARAMS) as engine:
             batch = engine.batch(jobs, check_sorted=True)
@@ -193,7 +193,7 @@ class TestRamAlgorithmThreading:
     """Satellite: ``algorithm=`` reaches the in-memory plan everywhere."""
 
     @pytest.mark.parametrize("alg", ["bst-rb", "quicksort", "heapsort"])
-    def test_ram_report_on_machine_accepts_algorithm(self, alg):
+    def test_ram_route_accepts_ram_algorithm(self, alg):
         data = random_permutation(40, seed=11)
         rep = SortEngine(PARAMS).sort(data, algorithm="ram", ram_algorithm=alg)
         assert rep.algorithm == f"ram-{alg}"
@@ -206,7 +206,7 @@ class TestRamAlgorithmThreading:
         with pytest.raises(ValueError, match="n <= M"):
             SortEngine(PARAMS).sort(list(range(PARAMS.M + 1)), algorithm="ram")
 
-    def test_sort_auto_routes_ram_algorithm(self):
+    def test_adaptive_sort_routes_ram_algorithm(self):
         data = random_permutation(30, seed=12)
         rep = SortEngine(PARAMS).sort(data, ram_algorithm="quicksort")
         assert rep.algorithm == "ram-quicksort"
@@ -240,7 +240,7 @@ class TestEngineBatch:
         assert thread.total_writes == process.total_writes
         assert thread.algorithm_mix() == process.algorithm_mix()
 
-    def test_run_batch_requires_some_params(self):
+    def test_execute_and_check_requires_some_params(self):
         # outside an engine or service nothing fills in the machine
         from repro.planner.batch import execute_and_check
 
@@ -400,7 +400,7 @@ class TestStreamCostBounds:
         assert rep.reads <= 2 * rep.extras["predicted_reads"]
         assert rep.writes <= 2 * rep.extras["predicted_writes"]
 
-    def test_parity_with_sort_auto_on_same_records(self):
+    def test_parity_with_adaptive_sort_on_same_records(self):
         data = random_permutation(4000, seed=17)
         engine = SortEngine(PARAMS)
         with engine.stream() as s:

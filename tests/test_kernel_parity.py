@@ -205,7 +205,7 @@ class TestDuplicateKeyParity:
         # the selection paths uniquify below the engine, so a duplicate-heavy
         # input sorts (stably) instead of stalling the phase cutoff, with the
         # exact Lemma 4.2 counters in both kernels
-        from repro.core.selection_sort import predicted_reads, predicted_writes
+        from repro.analysis.formulas import selection_sort_reads, selection_sort_writes
 
         rng = random.Random(0)
         data = [rng.randrange(8) for _ in range(200)]
@@ -217,8 +217,8 @@ class TestDuplicateKeyParity:
         assert results[VECTORIZED] == results[SLOW_REFERENCE]
         blocks, counts = results[VECTORIZED]
         assert [rec for blk in blocks for rec in blk] == sorted(data)
-        assert counts["block_reads"] == predicted_reads(len(data), PARAMS.M, PARAMS.B)
-        assert counts["block_writes"] == predicted_writes(len(data), PARAMS.B)
+        assert counts["block_reads"] == selection_sort_reads(len(data), PARAMS.M, PARAMS.B)
+        assert counts["block_writes"] == selection_sort_writes(len(data), PARAMS.B)
 
     def test_all_equal_keys_sort(self):
         # the worst case for the old distinct-keys assumption: one giant

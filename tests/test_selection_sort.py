@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.selection_sort import predicted_reads, predicted_writes, selection_sort
+from repro.analysis.formulas import selection_sort_reads, selection_sort_writes
+from repro.core.selection_sort import selection_sort
 from repro.models import AEMachine, MachineParams, MemoryGuard
 from repro.workloads import random_permutation, reverse_sorted
 
@@ -64,8 +65,8 @@ class TestLemma42Bounds:
         assert machine.counter.block_writes == math.ceil(n / B)
 
     def test_predicted_helpers(self):
-        assert predicted_writes(100, 8) == 13
-        assert predicted_reads(100, 64, 8) == 2 * 13
+        assert selection_sort_writes(100, 8) == 13
+        assert selection_sort_reads(100, 64, 8) == 2 * 13
 
     def test_memory_within_m_plus_buffers(self):
         M, B = 64, 8
