@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import time
 
 import pytest
@@ -49,14 +50,17 @@ def load_bench_record_schema() -> dict:
 def emit_bench_json(name: str, payload: dict) -> str:
     """Write one machine-readable ``BENCH_<name>.json`` record; return path.
 
-    The record is validated against ``bench_record.schema.json`` first — a
-    bench emitting a malformed record fails here, at the source.
+    Every record carries the ``host`` fingerprint (Python version and
+    logical CPU count) its timings were taken on.  The record is validated
+    against ``bench_record.schema.json`` first — a bench emitting a
+    malformed record fails here, at the source.
     """
     from repro.analysis.schema import validate
 
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, f"BENCH_{name}.json")
-    record = {"bench": name, "generated_utc": _utcnow(), **payload}
+    host = {"python": platform.python_version(), "nproc": os.cpu_count() or 1}
+    record = {"bench": name, "generated_utc": _utcnow(), "host": host, **payload}
     validate(record, load_bench_record_schema())
     with open(path, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
@@ -94,6 +98,8 @@ def _bench_trajectory(request):
         return
     try:
         wall = stats.stats.mean
+        median = stats.stats.median
+        iqr = stats.stats.iqr
         repeats = stats.stats.rounds
     except AttributeError:  # pragma: no cover - pytest-benchmark internals
         return
@@ -101,6 +107,8 @@ def _bench_trajectory(request):
         request.node.name,
         {
             "wall_seconds": round(wall, 6),
+            "median_seconds": round(median, 6),
+            "iqr_seconds": round(iqr, 6),
             "repeats": repeats,
             "extra_info": dict(benchmark.extra_info),
         },

@@ -35,10 +35,29 @@ def k_improves(k: int, params: MachineParams) -> bool:
 
 
 def feasible_k_region(params: MachineParams, k_max: int | None = None) -> list[int]:
-    """All integer ``k`` in ``[1, k_max]`` satisfying Corollary 4.4."""
+    """All integer ``k`` in ``[1, k_max]`` satisfying Corollary 4.4.
+
+    The same test as :func:`k_improves`, with its right-hand side computed
+    once.  ``k / log2 k`` increases for ``k >= 3``, so the scan stops at the
+    first failure from there on; ``k = 2`` (where ``k / log2 k = 2`` exceeds
+    its value at 3) is checked on its own, so ``{1, 3}`` is a possible region.
+    """
     if k_max is None:
         k_max = 4 * params.omega
-    return [k for k in range(1, k_max + 1) if k_improves(k, params)]
+    if k_max < 1:
+        return []
+    mb = params.M / params.B
+    if mb <= 1:
+        return [1]
+    limit = params.omega / math.log2(mb)
+    region = [1]
+    if k_max >= 2 and 2 < limit:  # 2 / log2(2) = 2 exactly
+        region.append(2)
+    for k in range(3, k_max + 1):
+        if not k / math.log2(k) < limit:
+            break
+        region.append(k)
+    return region
 
 
 def sweep_k(n: int, params: MachineParams, k_max: int | None = None) -> list[dict]:

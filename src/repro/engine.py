@@ -5,12 +5,12 @@ configuration once:
 
 * one :class:`~repro.models.params.MachineParams` (the machine every call
   runs on unless a batch job pins its own),
-* one :class:`~repro.planner.plan_cache.PlanCache` shared by every adaptive
-  path (one-shot, batch, streaming), so plans are memoised across the whole
-  session,
+* one :class:`~repro.planner.plan_cache.PlanCache`, the in-process memo
+  behind :meth:`SortEngine.plan` that the one-shot and thread-batch paths
+  plan through (process workers each hold their own),
 * one optional :class:`~repro.planner.calibration.CostConstants` so every
   ranking uses the same calibrated leading constants (refreshable in place
-  via :meth:`SortEngine.calibrate`),
+  via :meth:`SortEngine.calibrate`; batch jobs read them at dispatch),
 * the default batch executor (``"thread"`` or ``"process"``) and pool width.
 
 Entry points
@@ -19,8 +19,8 @@ Entry points
     One-shot sort: adaptive planning by default, or any registry algorithm
     (``mergesort`` / ``samplesort`` / ``heapsort`` / ``selection`` / ``ram``).
 ``engine.batch(jobs)``
-    Concurrent execution of many jobs through the engine's shared plan cache
-    and constants (:class:`~repro.planner.batch.BatchReport`) — since the
+    Concurrent execution of many jobs under the engine's constants
+    (:class:`~repro.planner.batch.BatchReport`) — since the
     service redesign, a thin ``submit_many`` + ``gather`` client of
     ``engine.service()``, the persistent :class:`~repro.service.SortService`
     pool the engine keeps alive across calls (shut down via
@@ -212,8 +212,9 @@ class SortEngine:
         Optional calibrated :class:`CostConstants` used by every adaptive
         ranking; :meth:`calibrate` fits and adopts a fresh set in place.
     cache:
-        The shared :class:`PlanCache`; one is created when ``None``.  All
-        paths — one-shot, batch, streaming — consult this single cache.
+        The :class:`PlanCache` memo behind :meth:`plan`; one is created
+        when ``None``.  One-shot sorts and thread-executor batch jobs plan
+        through it; process workers each keep their own.
     executor / workers:
         Default batch backend (``"thread"`` or ``"process"``) and pool
         width, overridable per :meth:`batch` call.
@@ -307,7 +308,6 @@ class SortEngine:
         self,
         executor: str | None = None,
         workers: int | None = None,
-        warm_cache=None,
         *,
         max_queue: int | None = None,
         admission: str = "reject",
@@ -317,9 +317,7 @@ class SortEngine:
         the given pool shape (created on first use, then reused — workers
         live across :meth:`batch` calls and direct submissions alike).
 
-        ``executor`` / ``workers`` default to the engine's configuration;
-        ``warm_cache`` pre-seeds planning when the pool is first built (use
-        :meth:`~repro.service.SortService.warm` to reheat a live pool).
+        ``executor`` / ``workers`` default to the engine's configuration.
         ``max_queue`` bounds the pending queue; ``admission`` picks the
         overload policy (``"reject"`` / ``"block"`` / ``"shed-lowest"``,
         see :class:`~repro.service.SortService`).  Admission knobs are part
@@ -342,14 +340,11 @@ class SortEngine:
                 self,
                 workers=workers,
                 executor=executor,
-                warm_cache=warm_cache,
                 max_queue=max_queue,
                 admission=admission,
                 block_timeout=block_timeout,
             )
             self._services[key] = svc
-        elif warm_cache is not None:
-            svc.warm(warm_cache)
         return svc
 
     def cluster(
@@ -359,7 +354,6 @@ class SortEngine:
         retries: int = 2,
         connect_retries: int = 25,
         timeout: float | None = None,
-        warm_cache=None,
     ):
         """The engine's persistent
         :class:`~repro.cluster.ClusterCoordinator` over the given
@@ -368,11 +362,8 @@ class SortEngine:
 
         ``hosts`` is an iterable of ``(host, port)`` pairs (or a
         :class:`~repro.cluster.ClusterSpec`, whose knobs then win).
-        ``warm_cache`` replays a plan-cache snapshot's sizes on every host
-        when passed (first build *and* reuse — rewarming a live fleet is
-        cheap and idempotent).  Coordinators are closed by
-        :meth:`close` / the engine's context manager; the remote servers
-        belong to their owners and keep running.
+        Coordinators are closed by :meth:`close` / the engine's context
+        manager; the remote servers belong to their owners and keep running.
         """
         from .cluster import ClusterCoordinator, ClusterSpec
 
@@ -390,8 +381,6 @@ class SortEngine:
         if coord is None:
             coord = ClusterCoordinator(spec, self.params)
             self._clusters[key] = coord
-        if warm_cache is not None:
-            coord.warm(warm_cache)
         return coord
 
     def batch(
@@ -401,9 +390,8 @@ class SortEngine:
         check_sorted: bool = False,
         executor: str | None = None,
         workers: int | None = None,
-        warm_cache=None,
     ):
-        """Execute many jobs through the engine's cache and constants.
+        """Execute many jobs under the engine's constants.
 
         This is ``submit_many`` + ``gather`` on the engine's persistent
         :meth:`service` pool, which survives across calls.  The
@@ -414,9 +402,7 @@ class SortEngine:
         ``jobs`` items are :class:`~repro.planner.batch.SortJob`\\ s (a bare
         data sequence is wrapped into an adaptive job on the engine's
         machine; a job with ``params=None`` inherits the engine's machine).
-        ``executor`` / ``workers`` default to the engine's configuration;
-        ``warm_cache`` pre-seeds planning (per-worker in process mode) with
-        a parent cache's hot entries.
+        ``executor`` / ``workers`` default to the engine's configuration.
         """
         import time as _time
 
@@ -436,7 +422,7 @@ class SortEngine:
         # (executor, None)) rather than a pool per distinct batch size —
         # otherwise batches of varying lengths would each leave a live pool
         # behind on a long-lived engine
-        svc = self.service(executor=executor, workers=workers, warm_cache=warm_cache)
+        svc = self.service(executor=executor, workers=workers)
         t0 = _time.perf_counter()
         futures = svc.submit_many(jobs, check_sorted=check_sorted)
         report = svc.gather(futures)
@@ -476,7 +462,8 @@ class SortEngine:
     ):
         """Measure the real sorts on the engine's machine, fit
         :class:`CostConstants`, and (by default) adopt them for every
-        subsequent adaptive call.  Returns the fitted constants.
+        subsequent adaptive call — :meth:`sort`, and :meth:`batch` jobs on
+        pools built before the adoption too.  Returns the fitted constants.
 
         Adoption never stales the plan cache: constants are part of every
         cache key, so rankings under the new constants are computed fresh.

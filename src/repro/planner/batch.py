@@ -15,9 +15,8 @@ captured per job and reported.
 
 Model-level aggregates (reads / writes / cost) are executor-independent:
 thread and process workers run the identical per-job simulation, only the
-scheduling differs.  Adaptive planning is memoised through a
-:class:`PlanCache`; the batch summary surfaces the hit/miss counts so cache
-effectiveness is visible per run.
+scheduling differs.  Adaptive planning goes through a :class:`PlanCache`
+memo (the engine's own in thread mode, a worker-local one in process mode).
 """
 from __future__ import annotations
 
@@ -70,14 +69,6 @@ class BatchReport:
     wall_seconds: float = 0.0
     #: which backend ran the batch (``"thread"`` or ``"process"``)
     executor: str = "thread"
-    #: plan-cache effectiveness over the batch (summed across workers in
-    #: process mode); pinned jobs never consult the cache
-    plan_hits: int = 0
-    plan_misses: int = 0
-    #: per-worker (hits, misses) pairs in worker order — populated by the
-    #: process executor (each worker owns its cache), empty in thread mode
-    #: where one shared cache already tells the whole story
-    shard_plan_stats: list = field(default_factory=list)
 
     # ------------------------------------------------------------------ #
     @property
@@ -127,13 +118,6 @@ class BatchReport:
             "jobs/s": round(self.jobs_per_second, 2),
             "records/s": round(self.records_per_second, 1),
             "executor": self.executor,
-            "plan_hits": self.plan_hits,
-            "plan_misses": self.plan_misses,
-            "plan_per_shard": (
-                ",".join(f"{h}/{m}" for h, m in self.shard_plan_stats)
-                if self.shard_plan_stats
-                else "-"
-            ),
         }
 
     def mix_rows(self) -> list[dict]:

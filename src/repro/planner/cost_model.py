@@ -18,8 +18,11 @@ closed forms the experiments verify as hard upper bounds):
   :func:`repro.engine.ram_on_machine_report` with the paper's §3 BST sort (O(n log n) element reads, O(n) element writes).
 
 Each ``k``-parameterised algorithm is entered with its own best branching
-factor: the planner scans the Corollary 4.4 feasible region (``k = 1``, the
-classic algorithm, is always admissible) and keeps the cost minimiser.
+factor: the cost minimiser over the Corollary 4.4 feasible region (``k = 1``,
+the classic algorithm, is always admissible).  One ranking computes the
+region and its ``ln(kM/B)`` table once, and mergesort / sample sort evaluate
+their cost only at the first k of each level-count class, so planning costs
+tens of microseconds (see :func:`_best_candidate`).
 
 With unit leading constants, sample sort's ``k ceil(n/B) L`` read bound
 dominates mergesort's ``(k+1) ceil(n/B) L`` by exactly one scan per level;
@@ -139,35 +142,79 @@ def _constant_pair(constants: "CostConstants | None", family: str) -> tuple[floa
     return constants.read_constant(family), constants.write_constant(family)
 
 
-def _best_k(
+def _k_table(params: MachineParams, k_max: int | None) -> list[tuple[int, float]]:
+    """``(k, ln(kM/B))`` for every Corollary 4.4-feasible ``k``
+    (``k = 1`` always admissible), shared by the three k-parameterised
+    algorithms of one ranking.
+
+    Empty when the merge fanout ``kM/B`` is below 2 (an M = B machine, say):
+    the recursion does not shrink there, so the algorithms — and their
+    closed forms — are undefined.
+    """
+    if params.blocks_in_memory < 2:
+        return []
+    M, B = params.M, params.B
+    return [(k, math.log(k * M / B)) for k in feasible_k_region(params, k_max)]
+
+
+def _best_candidate(
     n: int,
     params: MachineParams,
     algorithm: str,
-    k_max: int | None,
+    table: list[tuple[int, float]],
     constants: "CostConstants | None" = None,
-) -> int | None:
-    """Minimise the algorithm's exact predicted cost over the Corollary 4.4
-    feasible region (``k = 1`` always admissible); ties go to the smaller k.
+) -> PlanCandidate:
+    """The algorithm's candidate at the k of ``table`` that minimises its
+    exact predicted cost; ties go to the smaller k.
 
-    Returns ``None`` when no feasible k yields a merge fanout ``kM/B >= 2``
-    (an M = B machine, say): the recursion does not shrink there, so the
-    algorithm — and its closed forms — are undefined.
+    Every cost is evaluated exactly as :func:`predict_candidate` reports it
+    (same closed forms, same scan floor), so the result equals a cost
+    evaluation at every feasible k.  Mergesort and sample sort depend on k
+    only through the level count ``L = ceil(log_{kM/B}(n/B))``, a step
+    function: for a fixed L, reads grow with k and writes stay put, so only
+    the first k of each level class is evaluated.  Heapsort's Theorem 4.10
+    level term has no ceiling and is evaluated at every k.
+
+    Raises ``ValueError`` when ``table`` is empty.
     """
-    reads_fn, writes_fn = _K_PARAMETERISED[algorithm]
     cr, cw = _constant_pair(constants, algorithm)
-    # same scan floor as predict_candidate, so the k minimising this loop's
-    # cost is the minimiser of the cost the candidate will actually report
-    floor = float(math.ceil(n / params.B))
-    best_k, best_cost = None, None
-    for k in feasible_k_region(params, k_max):
-        if params.fanout(k) < 2:
-            continue
-        r = max(cr * reads_fn(n, params.M, params.B, k), floor)
-        w = max(cw * writes_fn(n, params.M, params.B, k), floor)
-        cost = r + params.omega * w
-        if best_cost is None or cost < best_cost:
-            best_k, best_cost = k, cost
-    return best_k
+    B, omega = params.B, params.omega
+    blocks = math.ceil(n / B)
+    floor = float(blocks)
+    best = None
+    if algorithm == "heapsort":
+        ln_n = math.log(max(n, 2))
+        for k, ln_fanout in table:
+            levels = 1 + ln_n / ln_fanout  # both logs positive: no clamp needed
+            r = cr * (2 * n * ((k / B) * levels))
+            w = cw * (2 * n * ((1 / B) * levels))
+            r = r if r >= floor else floor
+            w = w if w >= floor else floor
+            cost = r + omega * w
+            if best is None or cost < best[3]:
+                best = (k, r, w, cost)
+    else:
+        extra = 1 if algorithm == "mergesort" else 0  # Thm 4.3 reads (k+1), 4.5 k
+        ln_nb = math.log(n / B) if n > B else 0.0
+        last = None
+        for k, ln_fanout in table:
+            levels = math.ceil(ln_nb / ln_fanout) or 1  # mergesort_levels
+            if levels == last:
+                continue
+            last = levels
+            r = cr * ((k + extra) * blocks * levels)
+            w = cw * (blocks * levels)
+            r = r if r >= floor else floor
+            w = w if w >= floor else floor
+            cost = r + omega * w
+            if best is None or cost < best[3]:
+                best = (k, r, w, cost)
+    if best is None:
+        raise ValueError(
+            f"{algorithm} infeasible on {params}: merge fanout kM/B < 2 "
+            "for every Corollary 4.4-feasible k"
+        )
+    return PlanCandidate(algorithm, *best, "aem")
 
 
 def predict_candidate(
@@ -196,12 +243,7 @@ def predict_candidate(
     cr, cw = _constant_pair(constants, algorithm)
     if algorithm in _K_PARAMETERISED:
         if k is None:
-            k = _best_k(n, params, algorithm, k_max, constants)
-            if k is None:
-                raise ValueError(
-                    f"{algorithm} infeasible on {params}: merge fanout kM/B < 2 "
-                    "for every Corollary 4.4-feasible k"
-                )
+            return _best_candidate(n, params, algorithm, _k_table(params, k_max), constants)
         reads_fn, writes_fn = _K_PARAMETERISED[algorithm]
         r = max(cr * float(reads_fn(n, M, B, k)), floor)
         w = max(cw * float(writes_fn(n, M, B, k)), floor)
@@ -244,12 +286,16 @@ def rank_plans(
     explicit = algorithms is not None
     if algorithms is None:
         algorithms = PLANNABLE_ALGORITHMS
+    table = _k_table(params, k_max)
     out = []
     for name in algorithms:
         if name == "ram" and n > params.M and not explicit:
             continue
         try:
-            out.append(predict_candidate(name, n, params, k_max=k_max, constants=constants))
+            if name in _K_PARAMETERISED:
+                out.append(_best_candidate(n, params, name, table, constants))
+            else:
+                out.append(predict_candidate(name, n, params, constants=constants))
         except ValueError:
             if explicit or name not in _K_PARAMETERISED:
                 raise

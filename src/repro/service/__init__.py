@@ -7,7 +7,7 @@ persistent, heavily-trafficked deployment needs:
 
 * :mod:`~repro.service.futures` — :class:`SortFuture`, a
   :class:`concurrent.futures.Future` carrying the job's ticket, priority
-  and per-job timing / plan-cache figures;
+  and per-job timing figures;
 * :mod:`~repro.service.scheduler` — :class:`SortService`, the
   priority-queue dispatcher over a **persistent** worker pool (thread or
   long-lived worker processes that survive across submissions, with
@@ -27,7 +27,6 @@ from .backoff import Deadline, backoff_delay, backoff_delays
 from .futures import CANCELLED, FINISHED, PENDING, RUNNING, SortFuture
 from .scheduler import (
     ADMISSION_POLICIES,
-    PRIORITY_CONTROL,
     QueueFullError,
     SortService,
     default_pool_width,
@@ -42,7 +41,6 @@ __all__ = [
     "EngineServer",
     "FINISHED",
     "PENDING",
-    "PRIORITY_CONTROL",
     "QueueFullError",
     "RUNNING",
     "ServiceClient",

@@ -10,7 +10,7 @@ It *is* a :class:`concurrent.futures.Future` — ``result`` / ``exception`` /
 ``cancel`` / ``add_done_callback`` and :func:`concurrent.futures.wait` all
 work unchanged — plus the job metadata the service attaches (``ticket``,
 ``priority``, the normalized :class:`~repro.planner.batch.SortJob`) and the
-per-job plan-cache and timing figures the worker stamps before completion.
+per-job timing figures the worker stamps before completion.
 
 States and transitions::
 
@@ -52,10 +52,6 @@ class SortFuture(futures.Future):
         self.ticket = ticket
         self.job = job
         self.priority = priority
-        #: ``(worker_index, plan_hits, plan_misses)`` for this job's
-        #: execution, stamped by the worker just before completion —
-        #: ``None`` until then (and forever, for cancelled jobs)
-        self.plan_stats: tuple[int, int, int] | None = None
         #: worker-measured wall-clock of this job's execution, stamped just
         #: before completion — ``None`` until then (and for cancelled jobs)
         self.wall_seconds: float | None = None

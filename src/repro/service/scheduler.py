@@ -13,8 +13,7 @@ turns the engine into a job service:
   sensitive jobs overtake bulk backfill;
 * the worker pool is **persistent**: thread workers or long-lived worker
   processes (:func:`repro.service.workers.spawn_persistent_worker`) that
-  survive across submissions instead of being rebuilt per batch call, each
-  keeping its plan cache warm across jobs;
+  survive across submissions instead of being rebuilt per batch call;
 * every worker runs one loop (:meth:`SortService._worker`): take the best
   queued job, skip it if it was cancelled, run it, time it, publish the
   counters, resolve the future.  Only "run it" depends on the executor —
@@ -72,15 +71,10 @@ from ..analysis.locksan import wrap_condition
 from ..core.kernels import get_default_kernel
 from ..models.params import MachineParams
 from ..planner.batch import BatchReport, JobFailure, SortJob, execute_and_check
-from ..planner.plan_cache import PlanCache
 from ..testing import faults
 from .backoff import Deadline
 from .futures import SortFuture
 from .workers import WorkerDiedError, spawn_persistent_worker, stop_persistent_worker
-
-#: priority that beats any caller priority — the cluster coordinator sends
-#: its plan-cache warming probes with it so they overtake queued work
-PRIORITY_CONTROL = float("-inf")
 
 #: recognised admission policies for a bounded queue
 ADMISSION_POLICIES = ("reject", "block", "shed-lowest")
@@ -112,32 +106,6 @@ def default_pool_width(executor: str) -> int:
     return cores if executor == "process" else min(8, cores)
 
 
-class _CacheView:
-    """Duck-typed :class:`PlanCache` facade that counts one job's own
-    hits/misses while delegating storage to the shared cache.
-
-    Thread workers share the engine's cache; per-job deltas read off the
-    shared counters would race, so each job plans through a private view.
-    The shared cache's totals still advance (the view delegates), meaning
-    cache-wide stats and per-job stats agree in sum.
-    """
-
-    __slots__ = ("inner", "hits", "misses")
-
-    def __init__(self, inner: PlanCache):
-        self.inner = inner
-        self.hits = 0
-        self.misses = 0
-
-    def plan(self, n, params, algorithms=None, k_max=None, constants=None):
-        plan, hit = self.inner.planned(n, params, algorithms, k_max, constants)
-        if hit:
-            self.hits += 1
-        else:
-            self.misses += 1
-        return plan
-
-
 class SortService:
     """Asynchronous job service over one :class:`~repro.engine.SortEngine`.
 
@@ -145,17 +113,14 @@ class SortService:
     ----------
     engine:
         The engine whose machine, plan cache and calibrated constants every
-        job inherits.  A bare :class:`~repro.models.params.MachineParams`
-        is also accepted (a private engine is built around it).
+        job inherits; ``engine.constants`` is read at each dispatch.  A
+        bare :class:`~repro.models.params.MachineParams` is also accepted
+        (a private engine is built around it).
     workers / executor:
         Pool width and backend, defaulting to the engine's configuration
-        (``executor="thread"`` shares the engine's plan cache under the
-        GIL; ``executor="process"`` runs persistent worker processes, one
-        worker-local plan cache each, for real multi-core throughput).
-    warm_cache:
-        A :class:`PlanCache` or snapshot entries to pre-seed planning with:
-        thread mode seeds the shared cache once, process mode spawns every
-        worker already holding the entries.
+        (``executor="thread"`` plans through the engine's plan cache under
+        the GIL; ``executor="process"`` runs persistent worker processes,
+        one worker-local plan memo each, for real multi-core throughput).
     max_queue / admission / block_timeout:
         Admission control (see the module docstring): with ``max_queue``
         set, a full queue rejects, blocks (up to ``block_timeout`` seconds
@@ -172,7 +137,6 @@ class SortService:
         *,
         workers: int | None = None,
         executor: str | None = None,
-        warm_cache=None,
         max_queue: int | None = None,
         admission: str = "reject",
         block_timeout: float | None = None,
@@ -185,8 +149,6 @@ class SortService:
             raise TypeError("SortService needs a SortEngine or MachineParams")
         self.engine = engine
         self.params = engine.params
-        self.cache = engine.cache
-        self.constants = engine.constants
         self.executor = executor if executor is not None else engine.executor
         if self.executor not in ("thread", "process"):
             raise ValueError(
@@ -216,8 +178,6 @@ class SortService:
         # heap of (priority, seq, future, check_sorted): the unique seq keeps
         # FIFO order within a priority and never lets two futures be compared
         self._queue: list = []
-        # warm() entries each process worker installs before its next job
-        self._seeds: list[list] = [[] for _ in range(workers)]
         self._seq = itertools.count()
         self._tickets = itertools.count()
         self._shutdown = False
@@ -231,21 +191,12 @@ class SortService:
         self.busy_seconds = 0.0  # summed worker-side job wall-clock
         self._started = time.monotonic()
 
-        warm_entries = (
-            warm_cache.snapshot() if isinstance(warm_cache, PlanCache) else warm_cache
-        )
-        if warm_entries and self.executor == "thread":
-            self.cache.seed(warm_entries)
-        self._warm_entries = warm_entries if self.executor == "process" else None
-
         # one handle slot per worker (process mode); feeder/worker threads
         self._handles: list = [None] * workers
         self._threads: list[threading.Thread] = []
         for index in range(workers):
             if self.executor == "process":
-                self._handles[index] = spawn_persistent_worker(
-                    self.constants, self._warm_entries
-                )
+                self._handles[index] = spawn_persistent_worker()
             t = threading.Thread(
                 target=self._worker, args=(index,), daemon=True,
                 name=f"sort-service-{self.executor}-{index}",
@@ -426,39 +377,15 @@ class SortService:
         return _results()
 
     # ------------------------------------------------------------------ #
-    # cache warming
-    # ------------------------------------------------------------------ #
-    def warm(self, entries) -> int:
-        """Seed planning with pre-computed entries (a :class:`PlanCache` or
-        its snapshot): immediate for the shared thread cache; every process
-        worker installs them before its next job."""
-        if isinstance(entries, PlanCache):
-            entries = entries.snapshot()
-        entries = list(entries)
-        if not entries:
-            return 0
-        if self.executor == "thread":
-            return self.cache.seed(entries)
-        with self._cond:
-            if self._shutdown:
-                raise RuntimeError("service is shut down")
-            for seeds in self._seeds:
-                seeds.extend(entries)
-        return len(entries)
-
-    # ------------------------------------------------------------------ #
     # gathering
     # ------------------------------------------------------------------ #
     def gather(self, futures: Sequence[SortFuture]) -> BatchReport:
         """Wait for ``futures`` and fold them into a
         :class:`~repro.planner.batch.BatchReport` (reports in the given
-        order, per-job failures captured, plan-cache stats aggregated —
-        and broken down per worker in process mode, where each worker owns
-        its cache).
+        order, per-job failures captured).
         """
         t0 = time.perf_counter()
         report = BatchReport(executor=self.executor)
-        per_worker: dict[int, list[int]] = {}
         for i, fut in enumerate(futures):
             label = getattr(fut.job, "label", "")
             try:
@@ -469,17 +396,6 @@ class SortService:
                 report.failures.append(JobFailure(index=i, label=label, error=exc))
             else:
                 report.reports.append(rep)
-            if fut.plan_stats is not None:
-                worker, dh, dm = fut.plan_stats
-                report.plan_hits += dh
-                report.plan_misses += dm
-                acc = per_worker.setdefault(worker, [0, 0])
-                acc[0] += dh
-                acc[1] += dm
-        if self.executor == "process":
-            report.shard_plan_stats = [
-                tuple(per_worker[w]) for w in sorted(per_worker)
-            ]
         report.wall_seconds = time.perf_counter() - t0
         return report
 
@@ -513,9 +429,8 @@ class SortService:
                 continue
             records = len(fut.job.data) if fut.job.data is not None else 0
             t0 = time.perf_counter()
-            result, error, hits, misses, cpu = run(index, fut, check_sorted)
+            result, error, cpu = run(index, fut, check_sorted)
             wall = time.perf_counter() - t0
-            fut.plan_stats = (index, hits, misses)
             fut.wall_seconds = wall
             fut.cpu_seconds = wall if cpu is None else cpu
             # publish the counters first: a waiter or done-callback that reads
@@ -536,10 +451,8 @@ class SortService:
                 self._handles[index] = None
 
     def _run_in_thread(self, index: int, fut: SortFuture, check_sorted: bool):
-        """Run one job on this worker thread, planning through a private
-        view of the shared cache.  Returns ``(result, error, plan_hits,
-        plan_misses, cpu_seconds)``."""
-        view = _CacheView(self.cache)
+        """Run one job on this worker thread, planning through the engine's
+        cache.  Returns ``(result, error, cpu_seconds)``."""
         c0 = time.thread_time()  # this worker's CPU, contention-free
         result = error = None
         try:
@@ -549,34 +462,33 @@ class SortService:
                 # so injected "worker death" fails the in-flight job
                 plan.check("worker-death", f"thread worker {index}")
             result = execute_and_check(
-                fut.ticket, fut.job, cache=view,
-                constants=self.constants, check_sorted=check_sorted,
+                fut.ticket, fut.job, cache=self.engine.cache,
+                constants=self.engine.constants, check_sorted=check_sorted,
             )
         except Exception as exc:  # noqa: BLE001 — captured per job by design
             error = exc
-        return result, error, view.hits, view.misses, time.thread_time() - c0
+        return result, error, time.thread_time() - c0
 
     def _run_in_process(self, index: int, fut: SortFuture, check_sorted: bool):
         """Run one job as a lockstep pipe round-trip to worker ``index``'s
-        process, installing any pending :meth:`warm` seeds first.  Returns
-        ``(result, error, plan_hits, plan_misses, None)``: the CPU figure is
-        the wall of the dedicated child."""
+        process.  Returns ``(result, error, None)``: the CPU figure is the
+        wall of the dedicated child."""
         handle = self._handles[index]
         if handle is None:  # respawn was refused (interpreter shutdown)
             error = WorkerDiedError(f"worker {index} was not respawned")
-            return None, error, 0, 0, None
+            return None, error, None
         proc, conn = handle
-        with self._cond:
-            seeds, self._seeds[index] = self._seeds[index], []
         if faults.fire("worker-death"):
             # injected worker death takes the REAL failure path: kill the
             # child, let the pipe EOF below raise, fail only this future,
             # respawn — exactly what an OOM kill looks like
             proc.kill()
         try:
-            # ship the submitting process's block-kernel mode with the
-            # job — module globals do not cross the process boundary
-            conn.send((fut.ticket, fut.job, check_sorted, get_default_kernel(), seeds))
+            # ship the submitting process's block-kernel mode and the
+            # engine's current constants with the job — neither crosses the
+            # process boundary on its own
+            conn.send((fut.ticket, fut.job, check_sorted, get_default_kernel(),
+                       self.engine.constants))
             return (*conn.recv(), None)
         except (EOFError, OSError, BrokenPipeError) as exc:
             # the worker process died mid-job: fail ONLY this future,
@@ -586,7 +498,7 @@ class SortService:
                 f"worker {index} died while running job "
                 f"{fut.ticket} ({getattr(fut.job, 'label', '')!r}): {exc!r}"
             )
-            return None, error, 0, 0, None
+            return None, error, None
 
     def _respawn(self, index: int) -> None:
         proc, conn = self._handles[index]
@@ -605,7 +517,7 @@ class SortService:
                 self._handles[index] = None
             return
         # fork outside the lock (slow); publish the new handle under it
-        handle = spawn_persistent_worker(self.constants, self._warm_entries)
+        handle = spawn_persistent_worker()
         with self._cond:
             self._handles[index] = handle
             self.respawns += 1

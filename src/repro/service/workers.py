@@ -4,12 +4,12 @@ process pool.
 :func:`spawn_persistent_worker` forks a long-lived worker process speaking a
 lockstep request/response protocol over a pipe (one in-flight job per
 worker), and :func:`persistent_worker_loop` is its body.  Every request has
-one shape — a job plus the block-kernel mode to run it under and any plan
-cache seeds to install first — and ``None`` stops the worker.  Each worker
-owns a worker-local :class:`~repro.planner.plan_cache.PlanCache` that stays
-warm across jobs.  A worker that dies mid-job surfaces to the parent as a
-broken pipe; the service fails that job with :class:`WorkerDiedError` and
-respawns the worker.
+one shape — a job plus the block-kernel mode and the cost constants to run
+it under, both read in the parent at dispatch — and ``None`` stops the
+worker.  Each worker plans through its own in-process
+:class:`~repro.planner.plan_cache.PlanCache` memo.  A worker that dies
+mid-job surfaces to the parent as a broken pipe; the service fails that job
+with :class:`WorkerDiedError` and respawns the worker.
 
 Everything crossing the process boundary (jobs in, reports out) must pickle.
 :class:`~repro.planner.batch.SortJob` is plain data by design; captured
@@ -45,32 +45,23 @@ def _picklable_error(exc: Exception) -> Exception:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def persistent_worker_loop(conn, constants=None, warm_entries=None) -> None:
+def persistent_worker_loop(conn) -> None:
     """Body of one long-lived worker process.
 
     Protocol (lockstep request/response over ``conn``):
 
-    * ``(index, job, check_sorted, kernel, seeds)`` → ``(report, None, dh,
-      dm)`` or ``(None, picklable_exception, dh, dm)``, where ``dh``/``dm``
-      are this job's plan-cache hit/miss deltas.  ``kernel`` is the
-      block-kernel mode of the submitting process (module globals do not
-      cross processes) and ``seeds`` are parent
-      :meth:`PlanCache.snapshot` entries installed before the job runs;
+    * ``(index, job, check_sorted, kernel, constants)`` → ``(report, None)``
+      or ``(None, picklable_exception)``.  ``kernel`` is the block-kernel
+      mode of the submitting process (module globals do not cross
+      processes) and ``constants`` the engine's
+      :class:`~repro.planner.calibration.CostConstants` at dispatch, so a
+      set adopted after the pool started reaches the next job;
     * ``None`` → exit.
-
-    The worker-local cache persists across jobs — that is the point of a
-    persistent pool: repeated job shapes stop paying the ranking after the
-    first submission, without any cross-process shared state.
     """
     cache = PlanCache()
-    if warm_entries:
-        cache.seed(warm_entries)
     while (msg := conn.recv()) is not None:
-        index, job, check_sorted, kernel, seeds = msg
+        index, job, check_sorted, kernel, constants = msg
         set_default_kernel(kernel)
-        if seeds:
-            cache.seed(seeds)
-        hits0, misses0 = cache.hits, cache.misses
         rep = err = None
         try:
             rep = execute_and_check(
@@ -78,11 +69,11 @@ def persistent_worker_loop(conn, constants=None, warm_entries=None) -> None:
             )
         except Exception as exc:  # noqa: BLE001 — captured per job by design
             err = _picklable_error(exc)
-        conn.send((rep, err, cache.hits - hits0, cache.misses - misses0))
+        conn.send((rep, err))
     conn.close()
 
 
-def spawn_persistent_worker(constants=None, warm_entries=None):
+def spawn_persistent_worker():
     """Fork one persistent worker; returns ``(process, parent_conn)``.
 
     The process is a daemon (it must never outlive the service that owns
@@ -91,9 +82,7 @@ def spawn_persistent_worker(constants=None, warm_entries=None):
     """
     parent_conn, child_conn = multiprocessing.Pipe()
     proc = multiprocessing.Process(
-        target=persistent_worker_loop,
-        args=(child_conn, constants, warm_entries),
-        daemon=True,
+        target=persistent_worker_loop, args=(child_conn,), daemon=True
     )
     proc.start()
     child_conn.close()

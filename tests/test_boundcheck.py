@@ -291,6 +291,15 @@ class TestBenchRecordSchema:
                 schema,
             )
 
+    def test_host_fingerprint_and_spread_fields(self, schema):
+        record = {"bench": "x", "generated_utc": "t", "median_seconds": 0.5,
+                  "iqr_seconds": 0.0, "host": {"python": "3.11.7", "nproc": 2}}
+        validate(record, schema)
+        with pytest.raises(ValidationError, match="nproc"):
+            validate({**record, "host": {"python": "3.11.7"}}, schema)
+        with pytest.raises(ValidationError):
+            validate({**record, "iqr_seconds": -1.0}, schema)
+
 
 class TestSchemaValidator:
     def test_type_and_required(self):

@@ -227,10 +227,11 @@ class TestEngineBatch:
 
     def test_batch_shares_the_engine_plan_cache(self):
         engine = SortEngine(PARAMS)
-        engine.sort(random_permutation(500, seed=14))  # warms n=500
+        engine.sort(random_permutation(500, seed=14))  # plans n=500 once
         batch = engine.batch([SortJob(random_permutation(500, seed=i)) for i in range(3)])
-        assert batch.plan_hits == 3  # every batch job hit the one-shot's plan
-        assert batch.plan_misses == 0
+        assert batch.jobs_completed == 3
+        # every thread-batch job hit the one-shot's plan in the engine's memo
+        assert engine.cache.stats() == {"hits": 3, "misses": 1, "size": 1}
 
     def test_process_executor_matches_thread_aggregates(self):
         jobs = [SortJob(random_permutation(400, seed=i), PARAMS) for i in range(6)]

@@ -1,9 +1,22 @@
 """Tests for the adaptive sort planner and the batch execution layer."""
 
-import pytest
+import math
 
-from repro import MachineParams, SortEngine, SortJob, plan_sort, rank_plans
-from repro.planner.cost_model import PLANNABLE_ALGORITHMS, predict_candidate
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import CostConstants, MachineParams, SortEngine, SortJob, plan_sort, rank_plans
+from repro.analysis.boundcheck import DEFAULT_MACHINES
+from repro.analysis.ktuning import feasible_k_region, k_improves
+from repro.planner.cost_model import (
+    _K_PARAMETERISED,
+    _TIE_PREFERENCE,
+    PLANNABLE_ALGORITHMS,
+    SortPlan,
+    _constant_pair,
+    predict_candidate,
+)
 from repro.workloads import SCENARIOS, make_scenario, random_permutation
 
 SMALL = MachineParams(M=64, B=8, omega=8)
@@ -284,26 +297,6 @@ class TestBatchExecutor:
             report = _batch([job], check_sorted=True)
             assert report.jobs_completed == 1, (alg, report.failures)
 
-    def test_summary_surfaces_plan_cache_stats(self):
-        # adaptive jobs with a repeated (n, machine) shape hit the memoised
-        # plan; pinned jobs never consult the cache
-        jobs = [
-            SortJob(data=random_permutation(400, seed=i), params=SMALL)
-            for i in range(6)
-        ]
-        report = _batch(jobs)
-        assert report.plan_misses == 1 and report.plan_hits == 5
-        summary = report.summary()
-        assert summary["plan_hits"] == 5 and summary["plan_misses"] == 1
-        assert summary["executor"] == "thread"
-        pinned = [
-            SortJob(data=random_permutation(80, seed=i), params=SMALL,
-                    algorithm="mergesort", k=2)
-            for i in range(3)
-        ]
-        report = _batch(pinned)
-        assert report.plan_hits == 0 and report.plan_misses == 0
-
     def test_caller_supplied_cache_reused_across_batches(self):
         from repro.planner import PlanCache
 
@@ -313,10 +306,20 @@ class TestBatchExecutor:
             for i in range(4)
         ]
         first = _batch(jobs, cache=cache)
-        assert first.plan_misses == 1 and first.plan_hits == 3
+        assert cache.stats() == {"hits": 3, "misses": 1, "size": 1}
         second = _batch(jobs, cache=cache)
-        # warm cache: every plan is a hit, and per-batch stats are deltas
-        assert second.plan_misses == 0 and second.plan_hits == 4
+        # the second batch plans nothing: every job hits the memo
+        assert cache.stats() == {"hits": 7, "misses": 1, "size": 1}
+        assert [r.output for r in second.reports] == [r.output for r in first.reports]
+        assert second.summary()["executor"] == "thread"
+        pinned = [
+            SortJob(data=random_permutation(80, seed=i), params=SMALL,
+                    algorithm="mergesort", k=2)
+            for i in range(3)
+        ]
+        _batch(pinned, cache=cache)
+        # pinned jobs never consult the cache
+        assert cache.stats() == {"hits": 7, "misses": 1, "size": 1}
 
     def test_mix_keyed_on_family_not_k(self):
         # two different pinned k values land in one "mergesort" bucket, and
@@ -333,3 +336,101 @@ class TestBatchExecutor:
         assert report.algorithm_mix() == {"mergesort": 2, "selection": 1}
         rows = {row["family"]: row["jobs"] for row in report.mix_rows()}
         assert rows == {"mergesort": 2, "selection": 1}
+
+
+# ---------------------------------------------------------------------- #
+# plan identity: the fast planner against the full feasible-region scan
+# ---------------------------------------------------------------------- #
+def _oracle_region(params, k_max=None):
+    """Corollary 4.4's region as one k_improves test per k."""
+    if k_max is None:
+        k_max = 4 * params.omega
+    return [k for k in range(1, k_max + 1) if k_improves(k, params)]
+
+
+def _oracle_best_k(n, params, algorithm, k_max, constants=None):
+    """The planner's k choice as a cost evaluation at every feasible k."""
+    reads_fn, writes_fn = _K_PARAMETERISED[algorithm]
+    cr, cw = _constant_pair(constants, algorithm)
+    floor = float(math.ceil(n / params.B))
+    best_k, best_cost = None, None
+    for k in _oracle_region(params, k_max):
+        if params.fanout(k) < 2:
+            continue
+        r = max(cr * reads_fn(n, params.M, params.B, k), floor)
+        w = max(cw * writes_fn(n, params.M, params.B, k), floor)
+        cost = r + params.omega * w
+        if best_cost is None or cost < best_cost:
+            best_k, best_cost = k, cost
+    return best_k
+
+
+def _oracle_plan(n, params, k_max=None, constants=None):
+    """``plan_sort`` over every plannable algorithm, by full scan."""
+    out = []
+    for name in PLANNABLE_ALGORITHMS:
+        if name == "ram" and n > params.M:
+            continue
+        k = None
+        if name in _K_PARAMETERISED:
+            k = _oracle_best_k(n, params, name, k_max, constants)
+            if k is None:
+                continue
+        out.append(predict_candidate(name, n, params, k=k, constants=constants))
+    out.sort(key=lambda c: (c.predicted_cost, c.predicted_writes,
+                            _TIE_PREFERENCE[c.algorithm]))
+    return SortPlan(n=n, params=params, ranked=tuple(out))
+
+
+#: certify's machine grid, the benchmark machine, a degenerate-fanout
+#: M = B machine and a symmetric omega = 1 machine
+_PLAN_MACHINES = (
+    *DEFAULT_MACHINES,
+    MachineParams(M=256, B=16, omega=16),
+    MachineParams(M=16, B=16, omega=4),
+    MachineParams(M=64, B=8, omega=1),
+)
+
+#: constants as ``calibrate`` fitted them on M=64/B=8/omega=8 and on
+#: M=256/B=16/omega=16
+_CALIBRATED = (
+    CostConstants.from_mapping({
+        "heapsort": (0.9395393537839035, 1.4434873740614915),
+        "mergesort": (0.8355938836285889, 1.0),
+        "samplesort": (1.431110685532324, 2.3245764652014653),
+        "selection": (1.0, 1.0),
+    }),
+    CostConstants.from_mapping({
+        "heapsort": (0.8796748983280495, 1.3994150048177034),
+        "mergesort": (0.5751354433989164, 1.0),
+        "samplesort": (1.2677595628415301, 1.5609990393852065),
+        "selection": (1.0, 1.0),
+    }),
+)
+
+
+@st.composite
+def _planning_problems(draw):
+    params = draw(st.sampled_from(_PLAN_MACHINES))
+    edges = (params.B - 1, params.B, params.B + 1, params.M, params.M + 1)
+    n = draw(st.one_of(st.integers(0, 10**7), st.sampled_from(edges)))
+    k_max = draw(st.sampled_from((None, 1, 3, 40)))
+    constants = draw(st.sampled_from((None, *_CALIBRATED)))
+    return n, params, k_max, constants
+
+
+class TestPlanIdentity:
+    @settings(max_examples=400, deadline=None)
+    @given(_planning_problems())
+    def test_plan_sort_equals_full_scan(self, problem):
+        n, params, k_max, constants = problem
+        expected = _oracle_plan(n, params, k_max, constants)
+        assert plan_sort(n, params, k_max=k_max, constants=constants) == expected
+
+    @pytest.mark.parametrize("k_max", [None, 2, 3, 5])
+    def test_feasible_region_equals_per_k_test(self, k_max):
+        for omega in range(1, 61):
+            for blocks in range(2, 1025):
+                params = MachineParams(M=blocks, B=1, omega=omega)
+                assert feasible_k_region(params, k_max) == _oracle_region(params, k_max), (
+                    omega, blocks)

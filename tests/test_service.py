@@ -9,7 +9,7 @@ import time
 import pytest
 from concurrent.futures import CancelledError, wait
 
-from repro import MachineParams, PlanCache, SortEngine, SortJob
+from repro import MachineParams, SortEngine, SortJob
 from repro.planner.batch import BatchReport, JobFailure
 from repro.service import (
     CANCELLED,
@@ -176,7 +176,7 @@ class TestSubmission:
             fut = svc.submit(data)
             rep = fut.result(timeout=30)
             assert rep.output == sorted(data)
-            assert fut.done() and fut.plan_stats is not None
+            assert fut.done() and fut.wall_seconds is not None
 
     def test_bare_sequences_and_params_inheritance(self):
         with SortService(PARAMS, workers=1) as svc:
@@ -321,16 +321,12 @@ def batch_fingerprint(report):
             for r in report.reports
         ],
         "failures": [(f.index, f.label, type(f.error).__name__) for f in report.failures],
-        "plan_hits": report.plan_hits,
-        "plan_misses": report.plan_misses,
-        "shard_plan_stats": report.shard_plan_stats,
     }
 
 
-def sequential_reference(jobs, executor):
-    """The batch oracle: one ``SortEngine.sort`` call per job, in order, on
-    one engine — the per-job code every batch worker runs."""
-    engine = SortEngine(PARAMS)
+def sequential_reference(jobs, executor, engine):
+    """The batch oracle: one ``engine.sort`` call per job, in order — the
+    per-job code every batch worker runs."""
     report = BatchReport(executor=executor)
     for i, job in enumerate(jobs):
         try:
@@ -342,8 +338,6 @@ def sequential_reference(jobs, executor):
             report.failures.append(JobFailure(index=i, label=job.label, error=exc))
         else:
             report.reports.append(rep)
-    report.plan_hits = engine.cache.hits
-    report.plan_misses = engine.cache.misses
     return report
 
 
@@ -359,30 +353,39 @@ class TestBatchShimParity:
         for i, like in ((6, 0), (7, 2)):
             jobs[i] = SortJob(data=random_permutation(len(jobs[like].data), seed=i),
                               params=PARAMS, label=f"again/{like}")
-        reference = batch_fingerprint(sequential_reference(jobs, executor))
+        oracle = SortEngine(PARAMS)
+        reference = batch_fingerprint(sequential_reference(jobs, executor, oracle))
         with SortEngine(PARAMS, executor=executor, workers=2) as engine:
             got = batch_fingerprint(engine.batch(jobs))
-        if executor == "process":
-            # each worker process owns its plan cache: a shape first seen by
-            # both workers misses twice, so only the total is pinned
-            adaptive = sum(job.algorithm is None for job in jobs)
-            assert got["plan_hits"] + got["plan_misses"] == adaptive
-            assert sum(h + m for h, m in got["shard_plan_stats"]) == adaptive
-            for key in ("plan_hits", "plan_misses", "shard_plan_stats"):
-                del got[key], reference[key]
         assert got == reference
+        if executor == "thread":
+            # thread workers plan through the engine's memo: one miss per shape
+            assert engine.cache.stats() == oracle.cache.stats()
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_constants_adopted_after_the_pool_starts_reach_it(self, executor):
+        data = random_permutation(3000, seed=11)
+        with SortEngine(PARAMS, executor=executor, workers=1) as engine:
+            before = engine.batch([data]).reports[0]  # builds the pool
+            engine.calibrate()
+            want = engine.sort(data)
+            got = engine.batch([data]).reports[0]
+        # the calibrated ranking differs from the unit one on this input,
+        # so the batch can only match the one-shot under the new constants
+        assert want.algorithm != before.algorithm
+        assert (got.algorithm, got.reads, got.writes) == (
+            want.algorithm, want.reads, want.writes)
 
     def test_engine_batch_is_submit_many_plus_gather(self):
         jobs = _jobs(6)
         with SortEngine(PARAMS, workers=2) as engine:
             via_batch = engine.batch(jobs)
             svc = engine.service()
+            misses = engine.cache.misses
             via_futures = svc.gather(svc.submit_many(jobs))
-        # second pass hits the now-warm shared cache; everything else equal
-        a, b = batch_fingerprint(via_batch), batch_fingerprint(via_futures)
-        assert a["reports"] == b["reports"]
-        assert b["plan_hits"] == a["plan_hits"] + a["plan_misses"]
-        assert b["plan_misses"] == 0
+            # the second pass plans nothing new: every shape is memoised
+            assert engine.cache.misses == misses
+        assert batch_fingerprint(via_batch) == batch_fingerprint(via_futures)
 
     def test_failures_keep_positions_and_types(self):
         jobs = _jobs(3)
@@ -425,32 +428,9 @@ class TestBatchShimParity:
 
 
 # ---------------------------------------------------------------------- #
-# persistent process pool: plan-cache warmth + worker-death isolation
+# persistent process pool: worker-death isolation
 # ---------------------------------------------------------------------- #
 class TestPersistentProcessPool:
-    def test_worker_caches_stay_warm_across_submissions(self):
-        # same job shape submitted twice: the second round must hit the
-        # worker-local caches that survived the first round
-        with SortService(PARAMS, workers=1, executor="process") as svc:
-            jobs = [SortJob(data=random_permutation(400, seed=i), params=PARAMS)
-                    for i in range(4)]
-            first = svc.gather(svc.submit_many(jobs))
-            second = svc.gather(svc.submit_many(jobs))
-        assert first.plan_misses == 1 and first.plan_hits == 3
-        assert second.plan_misses == 0 and second.plan_hits == 4
-
-    def test_warm_broadcast_to_live_pool(self):
-        from repro import PlanCache
-
-        parent = PlanCache()
-        parent.plan(400, PARAMS)
-        with SortService(PARAMS, workers=2, executor="process") as svc:
-            assert svc.warm(parent) == 1
-            jobs = [SortJob(data=random_permutation(400, seed=i), params=PARAMS)
-                    for i in range(4)]
-            report = svc.gather(svc.submit_many(jobs))
-        assert report.plan_misses == 0 and report.plan_hits == 4
-
     def test_dead_worker_fails_only_inflight_and_pool_respawns(self):
         # THE regression test for worker-death isolation under the
         # persistent pool: the poison job's comparisons os._exit the worker
@@ -594,17 +574,13 @@ def _batch(jobs, executor="process", workers=None, **kwargs):
         return engine.batch(jobs, **kwargs)
 
 
-def _same_n_jobs(count, n):
-    return [SortJob(data=random_permutation(n, seed=i), params=PARAMS) for i in range(count)]
-
-
 class TestPartitioning:
     def test_more_shards_than_jobs_drops_empties(self):
-        # idle workers contribute no (0, 0) entry to the per-worker stats
-        report = _batch(_mixed_jobs(2), workers=5)
-        assert report.jobs_completed == 2
-        assert 1 <= len(report.shard_plan_stats) <= 2
-        assert all(h + m >= 1 for h, m in report.shard_plan_stats)
+        # idle workers contribute nothing: the report holds exactly the jobs
+        jobs = _mixed_jobs(2)
+        report = _batch(jobs, workers=5)
+        assert report.jobs_completed == 2 and not report.failures
+        assert [r.n for r in report.reports] == [len(j.data) for j in jobs]
 
 
 class TestProcessExecutor:
@@ -688,14 +664,6 @@ class TestProcessExecutor:
         report = _batch([])
         assert report.jobs_completed == 0 and report.executor == "process"
 
-    def test_per_shard_plan_caches_report_hits(self):
-        # 8 jobs of the same n: every worker that ran a job planned once and
-        # hit on the rest, so misses count the busy workers
-        report = _batch(_same_n_jobs(8, 400), workers=2)
-        assert report.plan_misses == len(report.shard_plan_stats)
-        assert report.plan_hits + report.plan_misses == 8
-        assert report.summary()["plan_hits"] == report.plan_hits
-
 
 class TestShardUnits:
     def test_unpicklable_error_replaced_by_standin(self):
@@ -710,48 +678,3 @@ class TestShardUnits:
         assert "Weird" in str(standin)
         plain = ValueError("fine")
         assert _picklable_error(plain) is plain
-
-
-class TestWarmCache:
-    def test_warm_entries_eliminate_shard_misses(self):
-        parent = PlanCache()
-        parent.plan(400, PARAMS)
-        jobs = _same_n_jobs(8, 400)
-        cold = _batch(jobs, workers=2)
-        warm = _batch(jobs, workers=2, warm_cache=parent)
-        assert cold.plan_misses == len(cold.shard_plan_stats)
-        assert cold.plan_hits + cold.plan_misses == 8
-        assert warm.plan_misses == 0 and warm.plan_hits == 8
-        # identical model aggregates either way — warmth saves planning
-        # compute, never changes plans
-        assert warm.total_cost() == cold.total_cost()
-
-    def test_warm_cache_accepts_snapshot_entries(self):
-        parent = PlanCache()
-        parent.plan(300, PARAMS)
-        report = _batch(_same_n_jobs(4, 300), workers=2,
-                        warm_cache=parent.snapshot())
-        assert report.plan_misses == 0 and report.plan_hits == 4
-
-    def test_thread_mode_seeds_the_shared_cache(self):
-        parent = PlanCache()
-        parent.plan(250, PARAMS)
-        report = _batch(_same_n_jobs(3, 250), executor="thread", warm_cache=parent)
-        assert report.plan_misses == 0 and report.plan_hits == 3
-
-
-class TestPerShardStats:
-    def test_merged_report_carries_per_shard_hit_miss(self):
-        report = _batch(_same_n_jobs(8, 400), workers=2)
-        stats = report.shard_plan_stats
-        assert 1 <= len(stats) <= 2
-        assert all(m == 1 for _, m in stats)
-        assert sum(h + m for h, m in stats) == 8
-        assert report.summary()["plan_per_shard"] == ",".join(
-            f"{h}/{m}" for h, m in stats
-        )
-
-    def test_thread_mode_reports_no_shard_breakdown(self):
-        report = _batch(_mixed_jobs(4), executor="thread")
-        assert report.shard_plan_stats == []
-        assert report.summary()["plan_per_shard"] == "-"

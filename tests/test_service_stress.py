@@ -1,11 +1,10 @@
 """SortService concurrency stress: cancel racing dispatch, drain racing
-submit, warm racing dispatch — run with the locksan lock-order recorder
-enabled, asserting no inversions after the dust settles."""
+submit — run with the locksan lock-order recorder enabled, asserting no
+inversions after the dust settles."""
 
 from __future__ import annotations
 
 import random
-import sys
 import threading
 from concurrent.futures import CancelledError
 
@@ -14,7 +13,6 @@ import pytest
 from repro.analysis import locksan
 from repro.engine import SortEngine
 from repro.models import MachineParams
-from repro.planner.plan_cache import PlanCache
 from repro.service import SortService
 
 
@@ -176,39 +174,3 @@ class TestShutdownRacingSubmit:
             t.join()
         for fut, data in zip(futures, _datasets(10, 60)):
             assert fut.result(timeout=30).output == sorted(data)
-
-
-class TestWarmRacingDispatch:
-    def test_concurrent_warms_reach_every_later_job(self, locksan_on, engine):
-        """Threads each warm a busy process pool with one size's plan, then
-        submit jobs of that size: a lost update to a worker's seed list
-        would make one of those jobs plan from a miss."""
-        sizes = [150 + 10 * i for i in range(4)]
-        submitted: dict[int, list] = {}
-
-        def warm_then_submit(service, n):
-            cache = PlanCache()
-            cache.plan(n, engine.params)
-            service.warm(cache)
-            submitted[n] = service.submit_many(_datasets(4, n, seed=n))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with SortService(engine, workers=3, executor="process") as service:
-                service.submit_many(_datasets(6, 200, seed=1))  # busy workers
-                threads = [
-                    threading.Thread(target=warm_then_submit, args=(service, n))
-                    for n in sizes
-                ]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(60)
-                assert not any(t.is_alive() for t in threads)
-                for n in sizes:
-                    for fut in submitted[n]:
-                        assert fut.result(timeout=60).n == n
-                        assert fut.plan_stats[2] == 0, (n, fut.plan_stats)
-        finally:
-            sys.setswitchinterval(interval)
