@@ -190,7 +190,7 @@ class AEMPriorityQueue:
         else:
             # block-granular: the shared bounded-selection kernel over the
             # validity-filtered beta blocks (exact take-smallest multiset,
-            # same as the reference's heap; scratch <= 1.5 * take < M/2)
+            # same as the reference's heap; scratch one chunk + 1.5 * take)
             batch = take_smallest(self._valid_beta_blocks(), take)
         self._alpha = batch
         x = batch[-1]

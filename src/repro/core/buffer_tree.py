@@ -46,7 +46,13 @@ import bisect
 import math
 
 from ..models.external_memory import AEMachine, BlockWriter, ExtArray
-from .kernels import SLOW_REFERENCE, register_kernel_entry, resolve_kernel, take_smallest
+from .kernels import (
+    SLOW_REFERENCE,
+    next_cutoff,
+    register_kernel_entry,
+    resolve_kernel,
+    take_smallest,
+)
 
 register_kernel_entry(
     "buffer-tree",
@@ -748,6 +754,7 @@ def _external_prefix_sort(
     out = machine.writer(name="bufsort")
     emitted = 0
     last_max = None
+    cutoff = None  # the vectorized path's (last record, copies emitted)
     M = params.M
     while emitted < prefix_len:
         if kernel == SLOW_REFERENCE:
@@ -772,9 +779,10 @@ def _external_prefix_sort(
             batch = sorted(item.value for item in working)
         else:
             # block-granular selection phase: the shared bounded kernel
-            # over the (truncated) prefix blocks — exact M-smallest multiset
+            # over the (truncated) prefix blocks — the same M records as the
+            # reference on the tree's unique keys, and tie-safe beyond them
             batch = take_smallest(
-                _prefix_blocks(machine, buf, prefix_len), M, lo=last_max
+                _prefix_blocks(machine, buf, prefix_len), M, after=cutoff
             )
         if not batch:
             raise AssertionError("prefix sort stalled")
@@ -783,6 +791,7 @@ def _external_prefix_sort(
                 out.append(rec)
         else:
             out.extend(batch)
+            cutoff = next_cutoff(batch, cutoff)
         emitted += len(batch)
         last_max = batch[-1]
     return out.close()

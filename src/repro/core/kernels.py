@@ -41,6 +41,7 @@ persistent-worker protocol carries it per job message — which keeps
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 
 #: the block-granular fast path (default)
@@ -139,74 +140,88 @@ def register_kernel_entry(name: str, *, vectorized: str,
         KERNEL_CONTRACTS.pop(name, None)
 
 
-def take_smallest(blocks, take: int, lo=None) -> list:
-    """The shared bounded-selection kernel: the ``take`` smallest records
-    strictly greater than ``lo`` across an iterable of record lists,
-    returned ascending.
+def _chunks(blocks, size: int):
+    """Concatenate an iterable of record lists into lists of >= ``size``
+    records (the last may be shorter), in scan order."""
+    chunk: list = []
+    for block in blocks:
+        chunk += block
+        if len(chunk) >= size:
+            yield chunk
+            chunk = []
+    if chunk:
+        yield chunk
 
-    Per block, the candidate window is filtered with one comprehension;
-    the working set is pruned back to ``take`` (a C-level sort of a mostly
-    sorted list) only when it overflows a half-working-set margin, so the
-    amortized cost is O(log) per surviving candidate and the scratch stays
-    <= 1.5 * ``take`` records.  The result is the exact ``take``-smallest
-    multiset — every record the running cutoff drops provably cannot be
-    among the final ``take`` — matching the record-at-a-time bounded
-    max-heap of the Lemma 4.2 reference implementations.
+
+def take_smallest(blocks, take: int, after=None) -> list:
+    """The shared bounded-selection kernel: the first ``take`` records, in
+    stable sorted order, of an iterable of record lists, returned ascending.
+
+    ``after=(record, skip)`` restarts the selection behind a cutoff: the
+    first ``skip`` copies of ``record`` in scan order were already emitted.
+    A scanned record is then eligible iff it is strictly greater than
+    ``record`` or is a copy of ``record`` past the first ``skip``.  No
+    record is decorated.  Python's sort is stable and candidates enter the
+    working set in scan order, so equal records keep their scan order, and
+    the already-emitted copies are exactly the ``skip`` that sort first;
+    each prune drops them from the front.  The result is therefore exactly
+    the ``take`` smallest ``(record, scan position)`` pairs following the
+    pair of ``record``'s ``skip``-th copy — the paper's §2 position-index
+    uniquification, paid for only where keys tie.
+
+    Blocks are concatenated into chunks of ``take`` records, and one
+    comprehension filters each chunk.  The working set is pruned back to
+    ``take`` (a C-level sort of a mostly sorted list) once it reaches a
+    half-working-set margin.  From then on the ``take``-th eligible record
+    so far is the cutoff for later chunks: a later record equal to it sorts
+    after it, so ``r < cutoff`` is exact.  Scratch stays below 2.5 *
+    ``take`` records plus one block on every input, all-equal keys
+    included; the whole input is never held at once.  The result matches
+    the record-at-a-time bounded max-heap of the Lemma 4.2 reference
+    implementations, record for record.
     """
     working: list = []
-    cutoff = None  # the take-th smallest seen so far, once known
+    cutoff = None  # the take-th smallest eligible record so far, once known
     margin = take + (take >> 1) + 1
-    for block in blocks:
-        if lo is None:
-            cand = block if cutoff is None else [r for r in block if r < cutoff]
+    lo, skip = after if after is not None else (None, 0)
+    for chunk in _chunks(blocks, take):
+        if after is None:
+            cand = chunk if cutoff is None else [r for r in chunk if r < cutoff]
         elif cutoff is None:
-            cand = [r for r in block if r > lo]
+            cand = [r for r in chunk if r >= lo]
         else:
-            cand = [r for r in block if lo < r < cutoff]
+            cand = [r for r in chunk if lo <= r < cutoff]
         if not cand:
             continue
         working.extend(cand)
         if len(working) >= margin:
-            working.sort()
-            del working[take:]
-            cutoff = working[-1]
-    working.sort()
-    del working[take:]
+            skip = _prune(working, take, lo, skip)
+            if len(working) == take:
+                cutoff = working[-1]
+    _prune(working, take, lo, skip)
     return working
 
 
-def take_smallest_indexed(blocks, take: int, lo=None) -> list:
-    """Position-decorated :func:`take_smallest`: the ``take`` smallest
-    ``(record, scan position)`` pairs strictly greater than the pair ``lo``,
-    returned ascending.
-
-    The paper's §2 remark — *"a position index can always be added to make
-    keys unique"* — applied below the selection kernel: decorating each
-    record with its global scan offset makes every key unique, so the
-    running cutoff advances even through runs of duplicates.  Positions are
-    derived from the scan order alone (free metadata, no extra I/O), and
-    the decoration orders duplicates by position, i.e. the selection
-    becomes a *stable* sort.  Same pruning discipline and the same exact
-    ``take``-smallest guarantee as :func:`take_smallest`, now over pairs.
-    """
-    working: list = []
-    cutoff = None  # the take-th smallest pair seen so far, once known
-    margin = take + (take >> 1) + 1
-    base = 0
-    for block in blocks:
-        cand = [(r, base + i) for i, r in enumerate(block)]
-        base += len(block)
-        if lo is not None:
-            cand = [p for p in cand if p > lo]
-        if cutoff is not None:
-            cand = [p for p in cand if p < cutoff]
-        if not cand:
-            continue
-        working.extend(cand)
-        if len(working) >= margin:
-            working.sort()
-            del working[take:]
-            cutoff = working[-1]
+def _prune(working: list, take: int, lo, skip: int) -> int:
+    """Sort ``working`` in place, drop the first ``skip`` copies of ``lo``
+    (they sort first, in scan order) and truncate to ``take`` records;
+    return how many copies are still to be skipped."""
     working.sort()
+    if skip:
+        dropped = min(skip, bisect.bisect_right(working, lo))
+        del working[:dropped]
+        skip -= dropped
     del working[take:]
-    return working
+    return skip
+
+
+def next_cutoff(batch: list, cutoff) -> tuple:
+    """The ``after=`` cutoff for the :func:`take_smallest` phase that
+    follows ``batch`` (a non-empty phase result, emitted after ``cutoff``):
+    its last record and how many copies of it have now been emitted,
+    counting a duplicate run that spans phases."""
+    last = batch[-1]
+    tied = len(batch) - bisect.bisect_left(batch, last)
+    if cutoff is not None and cutoff[0] == last:
+        tied += cutoff[1]
+    return last, tied

@@ -13,15 +13,18 @@ Primary memory: the M-record working set + one load block (+ the store buffer,
 which the model's ``M + B`` budget absorbs because the working set shrinks as
 records are emitted; we keep the accounting conservative and charge both).
 
-Duplicate keys: the phase cutoff ("strictly larger than the largest record
-written so far") stalls on inputs whose duplicate runs exceed ``M``, so both
-paths apply the paper's §2 remark — *"a position index can always be added to
-make keys unique"* — below the engine: every record is compared as a
-``(record, scan position)`` pair.  Positions come from the scan order alone
-(free metadata, no extra I/O), the cutoff always advances by exactly
-``min(M, remaining)`` records per phase, and the emitted order is the
-*stable* sort of the input.  Counters are unchanged and meet the lemma's
-exact bounds on every input.
+Duplicate keys: the phase cutoff "strictly larger than the largest record
+written so far" stalls on inputs whose duplicate runs exceed ``M``.  Both
+paths apply the paper's §2 remark, *"a position index can always be added
+to make keys unique"*, below the engine, and both emit the *stable* sort of
+the input.  The record-at-a-time reference compares every record as a
+``(record, scan position)`` pair.  The vectorized path decorates nothing:
+its cutoff is ``(last record emitted, copies of it emitted so far)``, and
+:func:`~repro.core.kernels.take_smallest` skips exactly that many copies
+in scan order, which selects the same records in the same order.  Either
+way positions come from the scan order alone (free metadata, no extra I/O),
+the cutoff advances by exactly ``min(M, remaining)`` records per phase, and
+the counters meet the lemma's exact bounds on every input.
 """
 
 from __future__ import annotations
@@ -31,9 +34,10 @@ import heapq
 from ..models.external_memory import AEMachine, ExtArray, MemoryGuard
 from .kernels import (
     SLOW_REFERENCE,
+    next_cutoff,
     register_kernel_entry,
     resolve_kernel,
-    take_smallest_indexed,
+    take_smallest,
 )
 
 register_kernel_entry(
@@ -77,23 +81,22 @@ def selection_sort(
     guard.acquire(params.M + 2 * params.B)
 
     M = params.M
-    last_max = None  # largest (record, position) pair emitted so far
+    cutoff = None  # (last record emitted, copies of it emitted so far)
     emitted = 0
     try:
         while emitted < n:
-            # One scan: the M smallest (record, position) pairs > last_max,
-            # selected with the shared bounded kernel (exact M-smallest
-            # multiset, same as the reference's record-at-a-time max-heap;
-            # scratch <= 1.5 M).  Position decoration keeps the cutoff
-            # advancing through duplicate runs.
-            batch = take_smallest_indexed(machine.scan_blocks(arr), M, lo=last_max)
+            # One scan: the M records that follow the cutoff in stable
+            # sorted order, selected with the shared bounded kernel (same
+            # records, same order as the reference's max-heap over
+            # (record, position) pairs; scratch a small multiple of M).
+            batch = take_smallest(machine.scan_blocks(arr), M, after=cutoff)
             if not batch:
                 raise AssertionError(
                     "selection phase found no records although output is incomplete"
                 )
-            out_writer.extend([rec for rec, _ in batch])
+            out_writer.extend(batch)
             emitted += len(batch)
-            last_max = batch[-1]
+            cutoff = next_cutoff(batch, cutoff)
     finally:
         guard.release(params.M + 2 * params.B)
     return out_writer.close()
